@@ -1,10 +1,11 @@
 """Numerical theory diagnostics.
 
 Monte Carlo estimates of the localized Rademacher complexities that govern
-first-stage estimation error, bisection for their critical radii, a small-ball
-probability estimator, and exact strong-shattering certificates for two
-structured function classes (single-index models over a Hadamard basis, and
-sparse linear models via a block packing).
+first-stage estimation error, their critical radii in closed form from one
+estimate at radius 1 (every supported class is homogeneous in the radius), a
+small-ball probability estimator, and exact strong-shattering certificates for
+two structured function classes (single-index models over a Hadamard basis,
+and sparse linear models via a block packing).
 
 Localized classes are restricted to families whose data-conditional supremum
 has a closed form:
@@ -13,6 +14,8 @@ has a closed form:
                        sup over the class of <theta, v> equals
                        r * sqrt(v' Sigma^{-1} v);
     l1-ball          : {f_theta : ||theta||_1 <= R1}, sup = R1 * max_j |v_j|;
+                       the localization radius is ignored, so this is an
+                       unlocalized upper bound on the localized class;
     singleton-zero   : {0}, sup = 0.
 """
 
@@ -29,7 +32,6 @@ from .core import FiniteStates, ProblemInstance, weighted_norm
 from .quadrature import adaptive_simpson
 from .rng import make_generator, mix_seed, substream
 
-BISECTION_TOL = 1e-4
 DEFAULT_REPS = 10_000
 VERIFY_TOL = 1e-10
 EXHAUSTIVE_PATTERN_LIMIT = 16
@@ -42,16 +44,13 @@ class ComplexityEstimate(NamedTuple):
     reps: int
 
 
-class MonotonicityError(RuntimeError):
-    """Raised when an MC complexity profile is not monotone beyond MC error."""
-
-
 @dataclass(frozen=True)
 class LocalizedClassSpec:
     """A localized function class with closed-form data-conditional suprema.
 
-    ``radius`` is the localization radius in the weighted norm.  For the
-    linear ellipsoid, ``sigma_matrix`` must be the second-moment matrix of
+    ``radius`` is the localization radius in the weighted norm; the l1 ball
+    ignores it (an unlocalized upper bound).  For the linear ellipsoid,
+    ``sigma_matrix`` must be the second-moment matrix of
     (g/pi) phi so that the ellipsoid equals the weighted-norm ball of the
     linear span.  ``center`` (optional) is the recentering function whose
     difference from the true outcome drives the squared multiplier
@@ -279,7 +278,6 @@ def critical_radius(
     m: int,
     kind: str = "s",
     source: str = "mc",
-    tolerance: float = BISECTION_TOL,
     alpha1: float | None = None,
     alpha2: float | None = None,
     multiplier="outcome-noise",
@@ -292,98 +290,54 @@ def critical_radius(
     ``kind == "s"`` solves complexity(r) <= r^2 for the squared-form
     complexity; ``kind == "r"`` solves complexity(r)/r <= alpha1*alpha2/32 for
     the plain one and requires the small-ball constants.  ``source`` is
-    ``"mc"`` (bisection on Monte Carlo estimates sharing one seed across
-    radii) or ``"closed-form-linear"`` (the linear-class bounds
-    R(r) = r*sqrt(d/m) and S(r) = r*sqrt(tr(Sigma^{-1} Gamma_sigma)/m)).
+    ``"mc"`` (one Monte Carlo estimate at r = 1) or ``"closed-form-linear"``
+    (the linear-class bounds R(r) = r*sqrt(d/m) and
+    S(r) = r*sqrt(tr(Sigma^{-1} Gamma_sigma)/m)).
 
-    The plain kind returns 0 when the threshold already holds at every
-    radius and inf when it holds at none.
+    Every supported class is homogeneous in the radius: with c1 the
+    complexity at r = 1, complexity(r) = r*c1 for the linear ellipsoid and
+    c1 for the l1 ball.  The root is therefore solved exactly, not rounded:
+    kind ``s`` gives c1 (ellipsoid) or sqrt(c1) (l1 ball); kind ``r`` gives
+    c1/threshold for the l1 ball, and for the ellipsoid 0 when the threshold
+    holds at every radius and inf when it holds at none.
     """
     if kind not in ("s", "r"):
         raise ValueError("kind must be 's' or 'r'")
     if spec.class_id == "singleton-zero":
         return 0.0
     if kind == "r":
-        if alpha1 is None or alpha2 is None:
-            raise ValueError("kind 'r' requires the small-ball constants")
+        if alpha1 is None or alpha2 is None or alpha1 <= 0 or alpha2 <= 0:
+            raise ValueError("kind 'r' requires positive small-ball constants")
         threshold = alpha1 * alpha2 / 32.0
 
     if source == "closed-form-linear":
         if spec.class_id != "linear-ellipsoid":
             raise ValueError("closed-form-linear applies to the linear class")
-        d = spec.sigma_matrix.shape[0]
         if kind == "r":
-            return 0.0 if np.sqrt(d / m) <= threshold else float("inf")
-        if gamma_matrix is None:
-            _, gamma_matrix = moment_matrices(instance, spec.feature_map)
-        trace = float(np.trace(np.linalg.solve(spec.sigma_matrix, gamma_matrix)))
-        slope = np.sqrt(max(trace, 0.0) / m)
-
-        def complexity(r: float) -> ComplexityEstimate:
-            return ComplexityEstimate(r * slope, 0.0, 0)
-
+            c1 = float(np.sqrt(spec.sigma_matrix.shape[0] / m))
+        else:
+            if gamma_matrix is None:
+                _, gamma_matrix = moment_matrices(instance, spec.feature_map)
+            trace = float(np.trace(np.linalg.solve(spec.sigma_matrix, gamma_matrix)))
+            c1 = float(np.sqrt(max(trace, 0.0) / m))
     elif source == "mc":
-
-        def complexity(r: float) -> ComplexityEstimate:
-            local = spec.with_radius(r)
-            if kind == "s":
-                return rademacher_S_mc(
-                    instance, local, m, multiplier=multiplier, reps=reps, seed=seed
-                )
-            return rademacher_R_mc(instance, local, m, reps=reps, seed=seed)
-
+        unit = spec.with_radius(1.0)
+        if kind == "s":
+            c1 = rademacher_S_mc(
+                instance, unit, m, multiplier=multiplier, reps=reps, seed=seed
+            ).value
+        else:
+            c1 = rademacher_R_mc(instance, unit, m, reps=reps, seed=seed).value
     else:
         raise ValueError(f"unknown complexity source {source!r}")
 
-    profile: list[tuple[float, ComplexityEstimate]] = []
-
-    def ratio_at(r: float) -> float:
-        est = complexity(r)
-        profile.append((r, est))
-        return est.value / r
-
-    def satisfied(r: float) -> bool:
+    if spec.class_id == "linear-ellipsoid":
         if kind == "s":
-            return ratio_at(r) <= r
-        return ratio_at(r) <= threshold
-
-    hi = 1.0
-    expansions = 0
-    while not satisfied(hi):
-        hi *= 2.0
-        expansions += 1
-        if expansions > 60:
-            if kind == "r":
-                _check_monotone(profile)
-                return float("inf")
-            raise RuntimeError("no solution found below radius 2^60")
-    lo = 0.0
-    while hi - lo > tolerance:
-        mid = 0.5 * (lo + hi)
-        if mid <= 0.0:
-            break
-        if satisfied(mid):
-            hi = mid
-        else:
-            lo = mid
-    _check_monotone(profile)
-    return hi if hi > tolerance else 0.0
-
-
-def _check_monotone(profile) -> None:
-    """Verify that the ratio complexity(r)/r is non-increasing in r, up to
-    three combined standard errors; otherwise more MC reps are needed."""
-    by_radius = sorted(profile, key=lambda item: item[0])
-    for (r1, e1), (r2, e2) in zip(by_radius, by_radius[1:]):
-        if r1 <= 0 or r2 <= 0:
-            continue
-        ratio1, ratio2 = e1.value / r1, e2.value / r2
-        slack = 3.0 * (e1.stderr / r1 + e2.stderr / r2)
-        if ratio2 > ratio1 + slack + 1e-12:
-            raise MonotonicityError(
-                f"complexity ratio increased from {ratio1:.4g} at r={r1:.4g} to "
-                f"{ratio2:.4g} at r={r2:.4g} beyond MC error; increase reps"
-            )
+            return c1
+        return 0.0 if c1 <= threshold else float("inf")
+    if kind == "s":
+        return float(np.sqrt(c1))
+    return c1 / threshold
 
 
 def profile_csv_rows(profile) -> str:

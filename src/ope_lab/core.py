@@ -400,6 +400,13 @@ class Dataset:
             raise ValueError("x, a, y must be equal-length vectors")
         if x.size < 1:
             raise ValueError("dataset must contain at least one triple")
+        finite = np.isfinite(x) & np.isfinite(a) & np.isfinite(y)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise ValueError(
+                f"dataset row {row} is not finite: "
+                f"(x, a, y) = ({x[row]}, {a[row]}, {y[row]})"
+            )
 
     def __len__(self) -> int:
         return int(self.x.size)

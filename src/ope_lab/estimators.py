@@ -65,8 +65,13 @@ class EstimateReport:
     plugin_variance: float
 
     def __post_init__(self):
-        if self.plugin_variance < 0:
-            raise ValueError("plugin_variance must be non-negative")
+        if not np.isfinite(self.tau_hat):
+            raise ValueError(f"{self.estimator_id} tau_hat is not finite: {self.tau_hat}")
+        if not (np.isfinite(self.plugin_variance) and self.plugin_variance >= 0):
+            raise ValueError(
+                f"{self.estimator_id} plugin_variance must be finite and non-negative, "
+                f"got {self.plugin_variance}"
+            )
 
     def csv_row(self) -> str:
         return (
@@ -141,7 +146,6 @@ class TwoStageReport(EstimateReport):
 
 def _likelihood_ratio(instance: ProblemInstance, x, a) -> np.ndarray:
     """g/pi at observed pairs; zero propensity raises naming the pair."""
-    instance.action_index(a)  # validates membership in the action space
     pi_vals = instance.propensity_at(x, a)
     if np.any(pi_vals <= 0):
         bad = int(np.argwhere(pi_vals <= 0)[0][0])

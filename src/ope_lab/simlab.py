@@ -196,8 +196,13 @@ class ResultRow:
     master_seed: int
 
     def __post_init__(self):
-        if self.normalized_mse < 0 or self.mc_stderr < 0:
-            raise ValueError("normalized_mse and mc_stderr must be non-negative")
+        for name in ("normalized_mse", "mc_stderr"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{name} must be finite and non-negative, got {value} "
+                    f"(estimator={self.estimator}, n={self.n})"
+                )
 
     def csv_row(self) -> str:
         return (

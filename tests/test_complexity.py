@@ -174,6 +174,54 @@ def test_l1_ball_scaling():
 # ---------------------------------------------------------------------------
 
 
+def l1_spec(radius=1.0):
+    return LocalizedClassSpec(
+        class_id="l1-ball", radius=radius, feature_map=scalar_feature, l1_radius=2.0
+    )
+
+
+@pytest.mark.parametrize("make_spec, scale", [
+    (lambda inst, r: ellipsoid_spec(inst, radius=r), 3.0),
+    (lambda inst, r: l1_spec(radius=r), 1.0),
+])
+def test_complexities_homogeneous_in_radius(make_spec, scale):
+    # the critical radius is solved from the value at r = 1, which is exact
+    # only because the ellipsoid scales with r and the l1 ball ignores it
+    inst = make_d1(1.0)
+    for estimate in (rademacher_S_mc, rademacher_R_mc):
+        at1 = estimate(inst, make_spec(inst, 1.0), m=40, reps=200, seed=11).value
+        at3 = estimate(inst, make_spec(inst, 3.0), m=40, reps=200, seed=11).value
+        assert at1 > 0
+        assert abs(at3 - scale * at1) <= 1e-12 * scale * at1
+
+
+@pytest.mark.parametrize("kind", ["s", "r"])
+@pytest.mark.parametrize("class_id", ["linear-ellipsoid", "l1-ball"])
+def test_mc_critical_radius_solves_from_unit_radius(kind, class_id):
+    inst = make_d1(1.0)
+    spec = ellipsoid_spec(inst, radius=0.3) if class_id == "linear-ellipsoid" else l1_spec(0.3)
+    m, reps, seed = 40, 200, 12
+    unit = spec.with_radius(1.0)
+    if kind == "s":
+        c1 = rademacher_S_mc(inst, unit, m=m, reps=reps, seed=seed).value
+        want = c1 if class_id == "linear-ellipsoid" else np.sqrt(c1)
+        alphas = {}
+    else:
+        c1 = rademacher_R_mc(inst, unit, m=m, reps=reps, seed=seed).value
+        # threshold 1/32 sits below c1 here, so the ellipsoid has no finite root
+        assert c1 > 1.0 / 32.0
+        want = np.inf if class_id == "linear-ellipsoid" else c1 * 32.0
+        alphas = {"alpha1": 1.0, "alpha2": 1.0}
+    got = critical_radius(inst, spec, m=m, kind=kind, source="mc", reps=reps, seed=seed, **alphas)
+    assert got == want
+
+
+def test_plain_radius_rejects_nonpositive_small_ball_constants():
+    inst = make_d1(1.0)
+    with pytest.raises(ValueError, match="positive small-ball"):
+        critical_radius(inst, l1_spec(), m=10, kind="r", alpha1=0.0, alpha2=1.0)
+
+
 def test_closed_form_plain_radius_threshold():
     inst = make_d1(1.0)
     sigma = np.eye(4)
@@ -381,19 +429,3 @@ def test_certificate_csv():
     lines = text.strip().split("\n")
     assert lines[0].startswith("index,threshold,scale,c0")
     assert len(lines) == 1 + cert.n_points
-
-
-def test_monotonicity_guard_raises_on_bad_profile():
-    from ope_lab.complexity import ComplexityEstimate, MonotonicityError, _check_monotone
-
-    rising = [
-        (1.0, ComplexityEstimate(1.0, 0.001, 100)),
-        (2.0, ComplexityEstimate(4.0, 0.001, 100)),  # ratio jumps 1.0 -> 2.0
-    ]
-    with pytest.raises(MonotonicityError):
-        _check_monotone(rising)
-    flat = [
-        (1.0, ComplexityEstimate(1.0, 0.001, 100)),
-        (2.0, ComplexityEstimate(2.0, 0.001, 100)),
-    ]
-    _check_monotone(flat)

@@ -382,3 +382,20 @@ def test_dataset_csv_round_trip(tmp_path, d1_noisy):
     assert np.array_equal(back.x, data.x)
     assert np.array_equal(back.a, data.a)
     assert np.array_equal(back.y, data.y)
+
+
+@pytest.mark.parametrize("column", ["x", "a", "y"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_naming_row(column, bad):
+    cols = {"x": np.array([0.0, 1.0, 1.0]), "a": np.array([1.0, 0.0, 1.0]),
+            "y": np.array([2.0, 0.0, 1.0])}
+    cols[column][1] = bad
+    with pytest.raises(ValueError, match="row 1 is not finite"):
+        ol.Dataset(**cols, seed=0, instance_id="d1")
+
+
+def test_read_dataset_csv_rejects_non_finite(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("# seed=3 instance_id=d1\nx,a,y\n0,1,2.0\n1,0,0.5\n1,1,nan\n")
+    with pytest.raises(ValueError, match="row 2 is not finite"):
+        read_dataset_csv(path)

@@ -63,8 +63,16 @@ def test_ipw_rejects_foreign_action(d1):
     data = ol.Dataset(
         x=np.array([0.0]), a=np.array([2.0]), y=np.array([1.0]), seed=0, instance_id="d1"
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"action \S*2\.0\S* not in"):
         ol.ipw_estimate(data, d1)
+
+
+@pytest.mark.parametrize("tau_hat, plugin_variance", [
+    (np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf), (1.0, -1.0),
+])
+def test_estimate_report_rejects_non_finite(tau_hat, plugin_variance):
+    with pytest.raises(ValueError, match="ipw"):
+        ol.EstimateReport("ipw", 10, 0, tau_hat, plugin_variance)
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,14 @@ def test_results_round_trip(tmp_path):
     assert read_results_csv(path) == table
 
 
+@pytest.mark.parametrize("field", ["normalized_mse", "mc_stderr"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_result_row_rejects_non_finite_or_negative(field, bad):
+    values = {"normalized_mse": 0.5, "mc_stderr": 0.01, field: bad}
+    with pytest.raises(ValueError, match=f"{field}.*estimator=ipw, n=200"):
+        ResultRow("inst", "ipw", 200, 5, values["normalized_mse"], values["mc_stderr"], 7)
+
+
 def test_results_write_failure_carries_path():
     with pytest.raises(OSError) as err:
         write_results_csv(sample_table(), "/nonexistent-dir/file.csv")
@@ -325,6 +333,12 @@ def test_cli_diagnose_critical_radius_and_profile(tmp_path, capsys):
     ]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["radius"] == 0.0  # d=4 features, m past the threshold
+    assert cli.main([
+        "diagnose", "critical-radius", "--instance", str(inst_path),
+        "--m", "50", "--kind", "s", "--source", "mc", "--reps", "20",
+    ]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["source"] == "mc" and 0.0 < doc["radius"] < np.inf
     out = tmp_path / "profile.csv"
     assert cli.main([
         "diagnose", "rademacher-profile", "--instance", str(inst_path),
