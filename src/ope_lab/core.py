@@ -105,7 +105,7 @@ class FiniteStates:
             raise ValueError("state probabilities must be non-negative")
         if abs(float(probs.sum()) - 1.0) > 1e-12:
             raise ValueError(
-                f"state probabilities sum to {probs.sum()!r}, not 1 within 1e-12"
+                f"state probabilities sum to {probs.sum()}, not 1 within 1e-12"
             )
 
 
@@ -174,15 +174,15 @@ class ProblemInstance:
         if np.any(pmat <= 0):
             bad = int(np.argwhere(pmat <= 0)[0][0])
             raise PropensityError(
-                f"propensity not strictly positive at state {probe[bad]!r}",
+                f"propensity not strictly positive at state {probe[bad]}",
                 state=float(probe[bad]),
             )
         norms = pmat @ self.actions.base_weights
         worst = int(np.argmax(np.abs(norms - 1.0)))
         if abs(norms[worst] - 1.0) > NORMALIZATION_TOL:
             raise PropensityError(
-                f"propensity at state {probe[worst]!r} has lambda-mass "
-                f"{norms[worst]!r}, not 1 within {NORMALIZATION_TOL}",
+                f"propensity at state {probe[worst]} has lambda-mass "
+                f"{norms[worst]}, not 1 within {NORMALIZATION_TOL}",
                 state=float(probe[worst]),
             )
         sd = self._pair_grid(self.outcome_sd, probe)
@@ -221,7 +221,7 @@ class ProblemInstance:
         idx = order[pos]
         if np.any(labels[idx] != a):
             bad = a[labels[idx] != a][0]
-            raise ValueError(f"action {bad!r} not in the instance action space")
+            raise ValueError(f"action {bad} not in the instance action space")
         return idx
 
     def lam_inner(self, fn, x: np.ndarray) -> np.ndarray:
@@ -244,10 +244,6 @@ class ProblemInstance:
         return adaptive_simpson(
             lambda x: dens(x) * np.asarray(fn(x), dtype=float), 0.0, 1.0, tol=tol
         )
-
-    def weighted_pair_expectation(self, fn, tol: float = DEFAULT_TOL) -> float:
-        """sum_a lambda(a) E_X[fn(X, a)]."""
-        return self.state_expectation(lambda x: self.lam_inner(fn, x), tol=tol)
 
     # -- construction from tables -------------------------------------------
 
@@ -305,7 +301,7 @@ def _lookup_index(sorted_values: np.ndarray, queries: np.ndarray) -> np.ndarray:
     idx = np.clip(idx, 0, sorted_values.size - 1)
     if np.any(sorted_values[idx] != queries):
         bad = np.asarray(queries)[sorted_values[idx] != queries].ravel()[0]
-        raise KeyError(f"value {bad!r} not found in table")
+        raise KeyError(f"value {bad} not found in table")
     return idx
 
 
@@ -437,14 +433,14 @@ def sample_dataset(instance: ProblemInstance, n: int, seed: int) -> Dataset:
     if np.any(joint < 0):
         bad = int(np.argwhere(joint < 0)[0][0])
         raise PropensityError(
-            f"negative action probability at sampled state {x[bad]!r}",
+            f"negative action probability at sampled state {x[bad]}",
             state=float(x[bad]),
         )
     rowsum = joint.sum(axis=1)
     worst = int(np.argmax(np.abs(rowsum - 1.0)))
     if abs(rowsum[worst] - 1.0) > NORMALIZATION_TOL:
         raise PropensityError(
-            f"propensity at sampled state {x[worst]!r} has mass {rowsum[worst]!r}",
+            f"propensity at sampled state {x[worst]} has mass {rowsum[worst]}",
             state=float(x[worst]),
         )
     u = rng.random(n)
@@ -465,11 +461,18 @@ def sample_dataset(instance: ProblemInstance, n: int, seed: int) -> Dataset:
 # ---------------------------------------------------------------------------
 
 
+def weight_inner(instance: ProblemInstance, mu, x: np.ndarray) -> np.ndarray:
+    """<g(x, .), mu(x, .)>_lambda = sum_a lambda(a) g(x, a) mu(x, a), vectorized in x."""
+    g = instance.weight_fn
+    return instance.lam_inner(
+        lambda xs, a: np.asarray(g(xs, a)) * np.asarray(mu(xs, a)), x
+    )
+
+
 def true_functional(instance: ProblemInstance, tol: float = DEFAULT_TOL) -> float:
     """tau = sum_a lambda(a) E_X[g(X, a) mu(X, a)], computed exactly."""
-    g, mu = instance.weight_fn, instance.outcome_mean
-    return instance.weighted_pair_expectation(
-        lambda x, a: np.asarray(g(x, a)) * np.asarray(mu(x, a)), tol=tol
+    return instance.state_expectation(
+        lambda x: weight_inner(instance, instance.outcome_mean, x), tol=tol
     )
 
 
@@ -487,16 +490,9 @@ def weighted_norm(instance: ProblemInstance, h, tol: float = DEFAULT_TOL) -> flo
     return float(np.sqrt(max(val, 0.0)))
 
 
-def _gmu_inner(instance: ProblemInstance):
-    g, mu = instance.weight_fn, instance.outcome_mean
-    return lambda x: instance.lam_inner(
-        lambda xs, a: np.asarray(g(xs, a)) * np.asarray(mu(xs, a)), x
-    )
-
-
 def efficient_variance(instance: ProblemInstance, tol: float = DEFAULT_TOL) -> float:
     """Semiparametric variance floor: Var_X(<g, mu>) + ||sd||_w^2."""
-    ip = _gmu_inner(instance)
+    ip = lambda x: weight_inner(instance, instance.outcome_mean, x)
     mean = instance.state_expectation(ip, tol=tol)
     second = instance.state_expectation(lambda x: ip(x) ** 2, tol=tol)
     between = max(second - mean**2, 0.0)
@@ -523,7 +519,7 @@ def optimal_auxiliary(instance: ProblemInstance) -> StateActionFunction:
             * np.asarray(mu(flat_x, flat_a), dtype=float)
             / pi_vals
         )
-        ip = _gmu_inner(instance)(flat_x)
+        ip = weight_inner(instance, mu, flat_x)
         return (lead - ip).reshape(xb.shape)
 
     return state_action_function(
@@ -550,11 +546,9 @@ def excess_variance(
         return np.asarray(mu(x, a), dtype=float) - np.asarray(mubar(x, a), dtype=float)
 
     norm_sq = weighted_norm(instance, diff, tol=tol) ** 2
-    g = instance.weight_fn
-    ip = lambda x: instance.lam_inner(
-        lambda xs, a: np.asarray(g(xs, a)) * diff(xs, a), x
+    gap = instance.state_expectation(
+        lambda x: weight_inner(instance, diff, x) ** 2, tol=tol
     )
-    gap = instance.state_expectation(lambda x: ip(x) ** 2, tol=tol)
     gap = max(float(gap), 0.0)
     return ExcessVariance(value=max(norm_sq - gap, 0.0), gap=gap)
 

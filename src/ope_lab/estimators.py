@@ -3,18 +3,21 @@ two-stage.
 
 All estimators consume a dataset together with the known parts of the
 instance (propensity, weight function, base measure).  Only the oracle
-estimator touches the true outcome mean.  The two-stage estimator splits the
-data into a first half B1 of size ceil(n/2) and the remainder B2, fits a
-first-stage outcome model on each half, converts each fit into an auxiliary
-function via
+estimator touches the true outcome mean.
 
-    fhat(x, a) = g(x, a) * muhat(x, a) / pi(x, a) - <g(x, .), muhat(x, .)>,
+Each estimate is the mean of one per-observation influence vector and its
+plug-in variance is that vector's sample variance.  For an outcome function
+mu the influence term of observation i is
 
-and evaluates each half's observations against the auxiliary trained on the
-other half, dividing by the full n:
+    infl_i(mu) = g/pi (x_i, a_i) * (y_i - mu(x_i, a_i)) + <g(x_i, .), mu(x_i, .)>,
 
-    tauhat = (1/n) [ sum_{B1} (g/pi * y - fhat2) + sum_{B2} (g/pi * y - fhat1) ].
+so IPW is infl(0) and the oracle is infl(mu).  The two-stage estimator splits
+the data into a first half B1 of size ceil(n/2) and the remainder B2, fits a
+first-stage outcome model muhat_j on each half B_j, and cross-fits:
 
+    tauhat = (1/n) sum_i infl_i(muhat_{-i}),
+
+where muhat_{-i} is the fit trained on the half that does not contain i.
 Cross-validation inside each half uses only that half's data.
 """
 
@@ -26,7 +29,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import regression
-from .core import Dataset, ProblemInstance, StateActionFunction
+from .core import Dataset, ProblemInstance, weight_inner
 from .rng import mix_seed
 
 REPORT_CSV_HEADER = "estimator_id,n,seed,tau_hat,plugin_variance"
@@ -151,7 +154,7 @@ def _likelihood_ratio(instance: ProblemInstance, x, a) -> np.ndarray:
         bad = int(np.argwhere(pi_vals <= 0)[0][0])
         raise ValueError(
             f"propensity is not positive at observed pair "
-            f"(x={x[bad]!r}, a={a[bad]!r})"
+            f"(x={x[bad]}, a={a[bad]})"
         )
     g_vals = np.asarray(instance.weight_fn(x, a), dtype=float) * np.ones(len(x))
     return g_vals / pi_vals
@@ -163,14 +166,22 @@ def _sample_variance(values: np.ndarray) -> float:
     return float(np.var(values, ddof=1))
 
 
-def _influence_terms(data: Dataset, instance: ProblemInstance, mu_fn) -> np.ndarray:
-    ratio = _likelihood_ratio(instance, data.x, data.a)
-    mu_obs = np.asarray(mu_fn(data.x, data.a), dtype=float) * np.ones(len(data))
-    g = instance.weight_fn
-    ip = instance.lam_inner(
-        lambda xs, a: np.asarray(g(xs, a)) * np.asarray(mu_fn(xs, a)), data.x
+def _influence(instance: ProblemInstance, ratio, x, a, y, mu_fn) -> np.ndarray:
+    """g/pi (y - mu) + <g, mu> at observed pairs, given ratio = g/pi there."""
+    mu_obs = np.asarray(mu_fn(x, a), dtype=float)
+    return ratio * (y - mu_obs) + weight_inner(instance, mu_fn, x)
+
+
+def _report(estimator_id: str, data: Dataset, terms, cls=EstimateReport, **extra):
+    """Mean and sample variance of the influence terms, as a report."""
+    return cls(
+        estimator_id=estimator_id,
+        n=len(data),
+        seed=data.seed,
+        tau_hat=float(np.mean(terms)),
+        plugin_variance=_sample_variance(terms),
+        **extra,
     )
-    return ratio * (data.y - mu_obs) + ip
 
 
 # ---------------------------------------------------------------------------
@@ -179,15 +190,9 @@ def _influence_terms(data: Dataset, instance: ProblemInstance, mu_fn) -> np.ndar
 
 
 def ipw_estimate(data: Dataset, instance: ProblemInstance) -> EstimateReport:
-    """Importance-reweighted plug-in estimate: mean of g/pi * y."""
-    terms = _likelihood_ratio(instance, data.x, data.a) * data.y
-    return EstimateReport(
-        estimator_id="ipw",
-        n=len(data),
-        seed=data.seed,
-        tau_hat=float(np.mean(terms)),
-        plugin_variance=_sample_variance(terms),
-    )
+    """Importance-reweighted plug-in estimate: mean of g/pi * y, the influence
+    vector at mu = 0."""
+    return _report("ipw", data, _likelihood_ratio(instance, data.x, data.a) * data.y)
 
 
 def generic_estimate(
@@ -200,14 +205,7 @@ def generic_estimate(
     ratio = _likelihood_ratio(instance, data.x, data.a)
     f_obs = np.asarray(f(data.x, data.a), dtype=float) * np.ones(len(data))
     recenter = instance.conditional_mean(f, data.x)
-    terms = ratio * data.y - f_obs + recenter
-    return EstimateReport(
-        estimator_id="generic",
-        n=len(data),
-        seed=data.seed,
-        tau_hat=float(np.mean(terms)),
-        plugin_variance=_sample_variance(terms),
-    )
+    return _report("generic", data, ratio * data.y - f_obs + recenter)
 
 
 def oracle_estimate(data: Dataset, instance: ProblemInstance) -> EstimateReport:
@@ -215,21 +213,17 @@ def oracle_estimate(data: Dataset, instance: ProblemInstance) -> EstimateReport:
 
     Not computable from data alone; serves as the efficiency baseline.
     """
-    terms = _influence_terms(data, instance, instance.outcome_mean)
-    return EstimateReport(
-        estimator_id="oracle",
-        n=len(data),
-        seed=data.seed,
-        tau_hat=float(np.mean(terms)),
-        plugin_variance=_sample_variance(terms),
-    )
+    ratio = _likelihood_ratio(instance, data.x, data.a)
+    terms = _influence(instance, ratio, data.x, data.a, data.y, instance.outcome_mean)
+    return _report("oracle", data, terms)
 
 
 def asymptotic_variance_estimate(
     data: Dataset, mu_fn, instance: ProblemInstance
 ) -> float:
     """Sample variance of the influence terms g/pi (y - muhat) + <g, muhat>."""
-    return _sample_variance(_influence_terms(data, instance, mu_fn))
+    ratio = _likelihood_ratio(instance, data.x, data.a)
+    return _sample_variance(_influence(instance, ratio, data.x, data.a, data.y, mu_fn))
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +233,10 @@ def asymptotic_variance_estimate(
 
 def _fit_first_stage(
     spec: FirstStageSpec,
-    instance: ProblemInstance,
     x: np.ndarray,
     a: np.ndarray,
     y: np.ndarray,
+    w: np.ndarray,
     seed: int,
 ) -> FittedOutcomeModel:
     """Fit one half-sample.  Regression weights are w_i = (g/pi)^2 at the
@@ -251,9 +245,6 @@ def _fit_first_stage(
     """
     if spec.regressor_id == "frozen":
         return FittedOutcomeModel(regressor_id="frozen", predict_xa=spec.frozen_fn)
-
-    ratio = _likelihood_ratio(instance, x, a)
-    w = ratio**2
 
     if spec.regressor_id in ("weighted-krr", "unweighted-krr"):
         # kernel fits model the outcome as a function of the state alone;
@@ -308,31 +299,6 @@ def _fit_first_stage(
     )
 
 
-def _auxiliary_from_fit(
-    instance: ProblemInstance, mu_fn
-) -> StateActionFunction:
-    """Step-I auxiliary for a fitted outcome model, with the action inner
-    product computed by exact enumeration."""
-    g = instance.weight_fn
-
-    def fn(x, a):
-        x = np.asarray(x, dtype=float)
-        a = np.asarray(a, dtype=float)
-        xb, ab = np.broadcast_arrays(x, a)
-        fx, fa = xb.ravel(), ab.ravel()
-        lead = (
-            np.asarray(g(fx, fa), dtype=float)
-            * np.asarray(mu_fn(fx, fa), dtype=float)
-            / instance.propensity_at(fx, fa)
-        )
-        ip = instance.lam_inner(
-            lambda xs, aa: np.asarray(g(xs, aa)) * np.asarray(mu_fn(xs, aa)), fx
-        )
-        return (lead - ip).reshape(xb.shape)
-
-    return StateActionFunction(fn=fn, zero_conditional_mean=True, name="fitted-auxiliary")
-
-
 def two_stage_estimate(
     data: Dataset,
     instance: ProblemInstance,
@@ -348,15 +314,15 @@ def two_stage_estimate(
     if n < 2 * spec.folds:
         raise ValueError(f"need n >= {2 * spec.folds} samples for {spec.folds} folds")
     n1 = (n + 1) // 2
-    idx1 = np.arange(n1)
-    idx2 = np.arange(n1, n)
+    halves = (np.arange(n1), np.arange(n1, n))
+    ratio = _likelihood_ratio(instance, data.x, data.a)
 
     fits = []
-    for j, idx in ((1, idx1), (2, idx2)):
+    for j, idx in enumerate(halves, start=1):
         try:
             fits.append(
                 _fit_first_stage(
-                    spec, instance, data.x[idx], data.a[idx], data.y[idx],
+                    spec, data.x[idx], data.a[idx], data.y[idx], ratio[idx] ** 2,
                     seed=mix_seed(seed, "first-stage", j),
                 )
             )
@@ -366,35 +332,19 @@ def two_stage_estimate(
             ) from exc
     fit1, fit2 = fits
 
-    ratio = _likelihood_ratio(instance, data.x, data.a)
-    aux1 = _auxiliary_from_fit(instance, fit1.predict_xa)
-    aux2 = _auxiliary_from_fit(instance, fit2.predict_xa)
-    s1 = ratio[idx1] * data.y[idx1] - aux2(data.x[idx1], data.a[idx1])
-    s2 = ratio[idx2] * data.y[idx2] - aux1(data.x[idx2], data.a[idx2])
-    tau_hat = (float(np.sum(s1)) + float(np.sum(s2))) / n
-
-    # influence-style terms for the plug-in variance, cross-fitted
+    # each half is scored with the fit trained on the other half
     infl = np.empty(n)
-    g = instance.weight_fn
-    for idx, fit in ((idx1, fit2), (idx2, fit1)):
-        mu_obs = np.asarray(fit.predict_xa(data.x[idx], data.a[idx]), dtype=float)
-        ip = instance.lam_inner(
-            lambda xs, aa, _f=fit: np.asarray(g(xs, aa))
-            * np.asarray(_f.predict_xa(xs, aa)),
-            data.x[idx],
+    for idx, fit in zip(halves, (fit2, fit1)):
+        infl[idx] = _influence(
+            instance, ratio[idx], data.x[idx], data.a[idx], data.y[idx], fit.predict_xa
         )
-        infl[idx] = ratio[idx] * (data.y[idx] - mu_obs) + ip
 
     mu1 = np.asarray(fit1.predict_xa(data.x, data.a), dtype=float)
     mu2 = np.asarray(fit2.predict_xa(data.x, data.a), dtype=float)
     fit_distance = float(np.sqrt(np.mean(ratio**2 * (mu1 - mu2) ** 2)))
 
-    return TwoStageReport(
-        estimator_id=f"two-stage-{spec.regressor_id}",
-        n=n,
-        seed=data.seed,
-        tau_hat=tau_hat,
-        plugin_variance=_sample_variance(infl),
+    return _report(
+        f"two-stage-{spec.regressor_id}", data, infl, cls=TwoStageReport,
         first_stage_models=(fit1, fit2),
         fit_distance=fit_distance,
         lambdas=(fit1.lambda_reg, fit2.lambda_reg),

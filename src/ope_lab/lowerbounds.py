@@ -50,7 +50,7 @@ class FiniteDistribution:
         if np.any(probs < 0):
             raise ValueError("probabilities must be non-negative")
         if abs(float(probs.sum()) - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1 within 1e-12")
+            raise ValueError(f"probabilities sum to {probs.sum()}, not 1 within 1e-12")
 
     def product(self, other: "FiniteDistribution") -> "FiniteDistribution":
         atoms = tuple((a, b) for a in self.atoms for b in other.atoms)

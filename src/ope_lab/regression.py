@@ -539,6 +539,13 @@ def cross_validate_lambda(
     Folds are contiguous blocks of a seeded shuffle; each candidate is fitted
     on the remaining blocks with the supplied training weights.  Ties are
     broken toward the larger regularizer.
+
+    A fold whose training rows all have zero weight is skipped, and skipping
+    is exact: with zero training weight the ridge objective is minimized by
+    f = 0 at every ridge level, which adds the same validation loss to every
+    candidate.  (Such a fold then holds every positive weight, so the other
+    folds validate at zero weight, every candidate ties, and the largest
+    ridge level is chosen.)
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)

@@ -17,6 +17,8 @@ order.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -277,57 +279,52 @@ def run_experiment(config: ExperimentConfig) -> ResultsTable:
     instance = instance_from_json(config.instance)
     tau_star = core.true_functional(instance)
     table = ResultsTable()
-    for estimator in config.estimators:
-        spec = (
-            _first_stage_spec(estimator, config)
-            if estimator.startswith("two-stage")
-            else None
-        )
-        for n in config.n_grid:
-            seeds = [
-                mix_seed(config.master_seed, estimator, n, rep)
-                for rep in range(config.reps)
-            ]
-            try:
-                if config.threads > 1:
-                    with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                        sq_errors = list(
-                            pool.map(
-                                lambda sd: _run_rep(
-                                    estimator, instance, n, sd, tau_star, spec
-                                ),
-                                seeds,
-                            )
-                        )
-                else:
-                    sq_errors = [
-                        _run_rep(estimator, instance, n, sd, tau_star, spec)
-                        for sd in seeds
-                    ]
-            except Exception as exc:
-                raise CellError(
-                    f"cell (estimator={estimator}, n={n}) failed: {exc}",
-                    estimator=estimator,
-                    n=n,
-                ) from exc
-            sq = np.asarray(sq_errors)
-            mse = float(n * np.mean(sq))
-            stderr = (
-                float(n * np.std(sq, ddof=1) / np.sqrt(config.reps))
-                if config.reps > 1
-                else 0.0
+    # one pool serves every cell; a single thread maps in the caller
+    with (
+        ThreadPoolExecutor(max_workers=config.threads)
+        if config.threads > 1
+        else contextlib.nullcontext()
+    ) as pool:
+        run_map = map if pool is None else pool.map
+        for estimator in config.estimators:
+            spec = (
+                _first_stage_spec(estimator, config)
+                if estimator.startswith("two-stage")
+                else None
             )
-            table.rows.append(
-                ResultRow(
-                    instance_id=instance.instance_id,
-                    estimator=estimator,
-                    n=n,
-                    reps=config.reps,
-                    normalized_mse=mse,
-                    mc_stderr=stderr,
-                    master_seed=config.master_seed,
+            for n in config.n_grid:
+                seeds = [
+                    mix_seed(config.master_seed, estimator, n, rep)
+                    for rep in range(config.reps)
+                ]
+                run = functools.partial(
+                    _run_rep, estimator, instance, n, tau_star=tau_star, spec=spec
                 )
-            )
+                try:
+                    sq = np.asarray(list(run_map(run, seeds)))
+                except Exception as exc:
+                    raise CellError(
+                        f"cell (estimator={estimator}, n={n}) failed: {exc}",
+                        estimator=estimator,
+                        n=n,
+                    ) from exc
+                mse = float(n * np.mean(sq))
+                stderr = (
+                    float(n * np.std(sq, ddof=1) / np.sqrt(config.reps))
+                    if config.reps > 1
+                    else 0.0
+                )
+                table.rows.append(
+                    ResultRow(
+                        instance_id=instance.instance_id,
+                        estimator=estimator,
+                        n=n,
+                        reps=config.reps,
+                        normalized_mse=mse,
+                        mc_stderr=stderr,
+                        master_seed=config.master_seed,
+                    )
+                )
     return table
 
 

@@ -147,6 +147,11 @@ def test_sample_requires_positive_n(d1):
         ol.sample_dataset(d1, 0, seed=0)
 
 
+def test_table_lookup_of_unknown_state_names_it(d1):
+    with pytest.raises(KeyError, match=r"value 0\.5 not found"):
+        d1.outcome_mean(np.array([0.0, 0.5]), np.array([1.0, 1.0]))
+
+
 # ---------------------------------------------------------------------------
 # exact functionals against independent enumeration
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.stats
 
 import ope_lab as ol
-from ope_lab import simlab
+from ope_lab import estimators, simlab
 from ope_lab.estimators import REPORT_CSV_HEADER, FirstStageError
 
 from conftest import make_d1
@@ -63,8 +65,18 @@ def test_ipw_rejects_foreign_action(d1):
     data = ol.Dataset(
         x=np.array([0.0]), a=np.array([2.0]), y=np.array([1.0]), seed=0, instance_id="d1"
     )
-    with pytest.raises(ValueError, match=r"action \S*2\.0\S* not in"):
+    with pytest.raises(ValueError, match=r"action 2\.0 not in"):
         ol.ipw_estimate(data, d1)
+
+
+def test_ipw_is_the_influence_vector_at_zero(d1_noisy):
+    data = ol.sample_dataset(d1_noisy, 50, seed=3)
+    zero = const_fn(0.0)
+    report = ol.ipw_estimate(data, d1_noisy)
+    assert report.plugin_variance == ol.asymptotic_variance_estimate(data, zero, d1_noisy)
+    ratio = estimators._likelihood_ratio(d1_noisy, data.x, data.a)
+    terms = estimators._influence(d1_noisy, ratio, data.x, data.a, data.y, zero)
+    assert float(np.mean(terms)) == report.tau_hat
 
 
 @pytest.mark.parametrize("tau_hat, plugin_variance", [
@@ -192,6 +204,24 @@ def test_two_stage_zero_weight_gives_zero():
     assert ol.two_stage_estimate(data, inst, spec, seed=1).tau_hat == 0.0
 
 
+def test_two_stage_zero_propensity_raises_before_fitting():
+    base = simlab.build_builtin_instance("pi1", gamma=0.0, sigma0=0.5)
+
+    def propensity(x):
+        p = base.propensity(x)
+        p[np.asarray(x) == 0.3] = (1.0, 0.0)  # 0.3 is off the probe grid
+        return p
+
+    inst = dataclasses.replace(base, propensity=propensity)
+    data = ol.sample_dataset(base, 40, seed=15)
+    x, a = data.x.copy(), data.a.copy()
+    x[5], a[5] = 0.3, 1.0
+    bad = ol.Dataset(x=x, a=a, y=data.y, seed=data.seed, instance_id=data.instance_id)
+    spec = ol.FirstStageSpec(regressor_id="weighted-krr", lambda_grid=(1.0,), folds=2)
+    with pytest.raises(ValueError, match=r"observed pair \(x=0\.3, a=1\.0\)"):
+        ol.two_stage_estimate(bad, inst, spec, seed=0)
+
+
 def test_two_stage_needs_enough_data(d1):
     data = ol.sample_dataset(d1, 8, seed=12)
     with pytest.raises(ValueError):
@@ -268,6 +298,24 @@ def test_two_stage_decomposition_frozen_first_stage(d1):
     ):
         se = observed.std(ddof=1) / np.sqrt(reps)
         assert abs(observed.mean() - exact) < 4 * se
+
+
+def test_two_stage_krr_is_the_mean_of_cross_fitted_influence_terms():
+    inst = simlab.build_builtin_instance("pi1", gamma=0.0, sigma0=0.5)
+    data = ol.sample_dataset(inst, 200, seed=16)
+    spec = ol.FirstStageSpec(regressor_id="weighted-krr", lambda_grid=(0.1, 1.0, 10.0), folds=3)
+    report = ol.two_stage_estimate(data, inst, spec, seed=2)
+    fit1, fit2 = report.first_stage_models
+    n1 = (len(data) + 1) // 2
+    infl = np.empty(len(data))
+    g = inst.weight_fn
+    for rows, fit in ((slice(0, n1), fit2), (slice(n1, None), fit1)):
+        x, a, y = data.x[rows], data.a[rows], data.y[rows]
+        ratio = g(x, a) / inst.propensity_at(x, a)
+        inner = inst.lam_inner(lambda xs, aa: g(xs, aa) * fit(xs, aa), x)
+        infl[rows] = ratio * (y - fit(x, a)) + inner
+    assert report.tau_hat == pytest.approx(np.mean(infl), rel=1e-12, abs=1e-12)
+    assert report.plugin_variance == pytest.approx(np.var(infl, ddof=1), rel=1e-12, abs=1e-12)
 
 
 def test_two_stage_isotonic_first_stage_runs():

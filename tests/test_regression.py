@@ -13,6 +13,7 @@ from ope_lab.regression import (
     fit_weighted_linear,
     project_l1_ball,
 )
+from ope_lab.rng import make_generator, mix_seed
 
 from oracles import brute_isotonic_grid
 
@@ -364,6 +365,35 @@ def test_cv_ties_prefer_larger():
     y = np.zeros(10)  # every lambda fits exactly: all losses tie at zero
     lam = cross_validate_lambda(x, y, np.ones(10), grid=[0.1, 1.0, 10.0], folds=5)
     assert lam == 10.0
+
+
+def test_cv_skipping_a_fold_without_training_weight_is_exact():
+    # every positive weight sits in one fold, which therefore trains on zero
+    # weight; the exact fit there is f = 0 at every ridge level
+    rng = np.random.default_rng(21)
+    n, folds, seed, grid = 30, 3, 4, [0.1, 1.0, 10.0]
+    x = rng.random(n)
+    y = np.sin(3.0 * x) + 0.1 * rng.standard_normal(n)
+    blocks = np.array_split(
+        make_generator(mix_seed(seed, "cv-shuffle")).permutation(n), folds
+    )
+    w = np.zeros(n)
+    w[blocks[1]] = rng.uniform(0.5, 2.0, blocks[1].size)
+
+    def reference_loss(lam):
+        loss = 0.0
+        for val in blocks:
+            train = np.setdiff1d(np.arange(n), val)
+            if np.any(w[train] > 0):
+                pred = fit_weighted_krr(x[train], y[train], w[train], lam).predict(x[val])
+            else:
+                pred = np.zeros(val.size)
+            loss += float(np.sum(w[val] * (y[val] - pred) ** 2))
+        return loss
+
+    losses = [reference_loss(lam) for lam in grid]
+    best = max(lam for lam, loss in zip(grid, losses) if loss == min(losses))
+    assert cross_validate_lambda(x, y, w, grid=grid, folds=folds, seed=seed) == best
 
 
 def test_cv_requires_enough_points():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ope_lab as ol
-from ope_lab import cli, simlab
+from ope_lab import cli, complexity, simlab
 from ope_lab.core import save_instance, write_dataset_csv
 from ope_lab.simlab import (
     CellError,
@@ -120,6 +120,28 @@ def test_thread_budget_leaves_bytes_unchanged():
     assert csv_single == csv_threaded
     # and a fresh run with the same seed reproduces the bytes
     assert run_experiment(base).to_csv() == csv_single
+
+
+def test_run_experiment_opens_one_pool(monkeypatch):
+    pools = []
+
+    class CountingPool(simlab.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(simlab, "ThreadPoolExecutor", CountingPool)
+    config = ExperimentConfig(
+        instance=builtin_doc(sigma0=0.3),
+        estimators=("ipw", "oracle"),
+        n_grid=(20, 40),
+        reps=4,
+        master_seed=3,
+    )
+    run_experiment(config)
+    assert pools == []
+    run_experiment(config.with_overrides(threads=2))
+    assert pools == [1]
 
 
 def test_failed_cell_names_itself():
@@ -306,13 +328,31 @@ def test_cli_lowerbound_and_diagnose(tmp_path, capsys):
     assert cli.main(["lowerbound", "sigma-pair", "--instance", str(inst_path), "--n", "100"]) == 0
     text = capsys.readouterr().out
     assert '"kind": "sigma-pair"' in text
-    assert cli.main(["diagnose", "shatter", "--family", "sparse", "--p", "4", "--s", "2"]) == 0
-    assert '"verified": true' in capsys.readouterr().out
     assert cli.main([
         "diagnose", "small-ball", "--instance", str(inst_path), "--alpha1", "0.0",
         "--reps", "100",
     ]) == 0
     assert '"probability": 1.0' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args, points, scale", [
+    (["--family", "hadamard", "--p", "8"], 8, 1.0),
+    (["--family", "sparse", "--p", "8", "--s", "2"], 4, 0.5),
+])
+def test_cli_diagnose_shatter_verifies_once(monkeypatch, capsys, args, points, scale):
+    calls = []
+    verify = complexity.ShatteringCertificate.verify
+
+    def counting_verify(self, *a, **kw):
+        calls.append(1)
+        return verify(self, *a, **kw)
+
+    monkeypatch.setattr(complexity.ShatteringCertificate, "verify", counting_verify)
+    assert cli.main(["diagnose", "shatter", *args]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "family": args[1], "points": points, "scale": scale, "verified": True,
+    }
+    assert len(calls) == 1  # the constructor's check
 
 
 def test_cli_error_is_machine_readable(tmp_path, capsys):
