@@ -15,19 +15,22 @@ K W (y - K alpha) = lam K alpha; whenever K is invertible this reduces to
 
     (W K + lam I) alpha = W y.
 
-The dense solver factorizes this system directly.  The default solver uses
-the change of variables beta = K alpha (the fitted values), which satisfies
-(lam K^{-1} + W) beta = W y; for the min kernel on sorted distinct points,
-K^{-1} is tridiagonal (the kernel is the Brownian-motion covariance), so the
-solve is O(m).  Ties are pooled by weighted mean and zero-weight rows are
-dropped before the banded solve; both transformations leave the minimizer
-unchanged, and alpha_i = w_i (y_i - beta_i) / lam recovers the dense-path
-coefficients exactly.
+The min kernel is the Brownian-motion covariance, so the minimizer is a
+linear smoothing spline: f(0) = 0, linear between the weighted states, flat
+after the last.  A fit stores these knots and its values there, predicts by
+interpolation and derives alpha_i = w_i (y_i - f(x_i)) / lam.  The values
+beta = K alpha solve (lam K^{-1} + W) beta = W y, tridiagonal on sorted
+distinct points, so the solve is O(m).  Zero-weight rows drop out, and a
+state within ``TIE_GAP`` of the previous one (or of 0) is pooled into it by
+summed weight and weighted target sum: exact for exact ties, a perturbation
+of the gap's size for near ties.  Pooling does not depend on lam, so
+cross-validation pools each fold once.  The dense solver factorizes the
+alpha system directly and is kept as the reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,6 +39,7 @@ import scipy.linalg
 from .rng import make_generator, mix_seed
 
 CONDITION_LIMIT = 1e12
+TIE_GAP = 1e-13
 DEFAULT_LAMBDA_GRID = tuple(float(v) for v in np.logspace(-1.0, 2.0, 7))
 L1_MAX_ITER = 10_000
 L1_REL_TOL = 1e-10
@@ -103,35 +107,33 @@ def resolve_feature_map(spec) -> Callable:
 
 @dataclass
 class KernelRidgeModel:
-    """Representer-form fit f(x) = sum_j alpha_j min(x, x_j)."""
+    """Sobolev-1 fit through (``knots``, ``values``): 0 and the sorted pooled
+    weighted states, and f there.  ``alpha`` of f = sum_j alpha_j min(., x_j)
+    is derived from the training rows (``anchors``, ``targets``, ``weights``).
+    """
 
     regressor_id: str
-    anchors: np.ndarray
-    alpha: np.ndarray
+    knots: np.ndarray
+    values: np.ndarray
     lambda_reg: float
+    anchors: np.ndarray
+    targets: np.ndarray
     weights: np.ndarray
     kernel_id: str = "sobolev1"
 
-    def __post_init__(self):
-        order = np.argsort(self.anchors, kind="stable")
-        sx = self.anchors[order]
-        sa = self.alpha[order]
-        self._sx = sx
-        self._prefix_ax = np.concatenate([[0.0], np.cumsum(sa * sx)])
-        self._suffix_a = np.concatenate([np.cumsum(sa[::-1])[::-1], [0.0]])
-
     def predict(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        shape = x.shape
-        flat = np.atleast_1d(x).ravel()
-        k = np.searchsorted(self._sx, flat, side="right")
-        out = self._prefix_ax[k] + flat * self._suffix_a[k]
-        return out.reshape(shape) if shape else float(out[0])
+        out = np.interp(x, self.knots, self.values)
+        return out if np.ndim(out) else float(out)
+
+    @property
+    def alpha(self) -> np.ndarray:
+        """Representer coefficients alpha_i = w_i (y_i - f(x_i)) / lam."""
+        return self.weights * (self.targets - self.predict(self.anchors)) / self.lambda_reg
 
     def objective(self, x, y, w) -> float:
         resid = np.asarray(y, dtype=float) - self.predict(x)
-        gram = np.minimum.outer(self.anchors, self.anchors)
-        penalty = float(self.alpha @ gram @ self.alpha)
+        # ||f||_H^2 = integral of f'^2, exact for the piecewise-linear f
+        penalty = float(np.sum(np.diff(self.values) ** 2 / np.diff(self.knots)))
         return float(np.sum(np.asarray(w, dtype=float) * resid**2) + self.lambda_reg * penalty)
 
     def to_text(self) -> str:
@@ -206,7 +208,7 @@ class IsotonicModel:
 # ---------------------------------------------------------------------------
 
 
-def _validate_kernel_inputs(x, y, w, lambda_reg, kernel_id):
+def _validate_kernel_inputs(x, y, w, kernel_id):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -218,11 +220,46 @@ def _validate_kernel_inputs(x, y, w, lambda_reg, kernel_id):
         raise ValueError("weights must be non-negative")
     if not np.any(w > 0):
         raise ValueError("at least one weight must be positive")
-    if lambda_reg <= 0:
-        raise ValueError("lambda_reg must be positive")
-    if np.any(x < 0) or np.any(x > 1):
+    # written to reject NaN states too, which pooling would absorb silently
+    if not np.all((x >= 0) & (x <= 1)):
         raise ValueError("sobolev1 kernel requires x in [0, 1]")
     return x, y, w
+
+
+class _PooledStates:
+    """The weighted states of one training set pooled into knots, with the
+    parts of the banded system that do not depend on the ridge level."""
+
+    def __init__(self, x, y, w):
+        keep = w > 0
+        order = np.argsort(x[keep], kind="stable")
+        xs = x[keep][order]
+        starts = np.diff(xs, prepend=0.0) >= TIE_GAP
+        # knot 0 is the origin, where f = 0: states pooled into it drop out
+        knot_of = np.cumsum(starts)
+        m = int(knot_of[-1]) if knot_of.size else 0
+        self.knots = np.concatenate([[0.0], xs[starts]])
+        self.wsum = np.bincount(knot_of, weights=w[keep][order], minlength=m + 1)[1:]
+        self.wy = np.bincount(knot_of, weights=(w[keep] * y[keep])[order], minlength=m + 1)[1:]
+        self.inv_gaps = 1.0 / np.diff(self.knots)
+        self.coupling = self.inv_gaps + np.concatenate([self.inv_gaps[1:], [0.0]])
+
+    def solve(self, lambda_reg: float) -> np.ndarray:
+        """Fitted values at ``knots``: (lam K^{-1} + W) beta = W y, 0 first."""
+        m = self.wsum.size
+        if m == 0:
+            return np.zeros(1)
+        diag = lambda_reg * self.coupling + self.wsum
+        if m == 1:
+            beta, info = self.wy / diag, 0
+        else:
+            off = -lambda_reg * self.inv_gaps[1:]
+            _, _, _, beta, info = scipy.linalg.lapack.dgtsv(off, diag, off, self.wy)
+        if info != 0 or not np.all(np.isfinite(beta)):
+            raise RegressionError(
+                f"banded kernel solve is not finite at lambda {lambda_reg:g} with {m} knots"
+            )
+        return np.concatenate([[0.0], beta])
 
 
 def fit_weighted_krr(
@@ -235,24 +272,28 @@ def fit_weighted_krr(
 ) -> KernelRidgeModel:
     """Weighted kernel ridge regression with the min kernel.
 
-    ``solver`` is ``"auto"`` (O(m) banded solve, falls back to dense on
-    numerically degenerate input) or ``"dense"`` (direct factorization of the
-    normal equations, least-squares fallback past condition 1e12).
+    ``solver`` is ``"auto"`` (O(m) banded solve on the pooled states; raises
+    ``RegressionError`` if the solve is not finite) or ``"dense"`` (the
+    reference: direct factorization of the alpha system, least-squares
+    fallback past condition 1e12, then evaluated at the same knots).
     """
-    x, y, w = _validate_kernel_inputs(x, y, w, lambda_reg, kernel_id)
+    x, y, w = _validate_kernel_inputs(x, y, w, kernel_id)
+    if lambda_reg <= 0:
+        raise ValueError("lambda_reg must be positive")
+    pooled = _PooledStates(x, y, w)
     if solver == "auto":
-        alpha = _solve_krr_banded(x, y, w, lambda_reg)
-        if alpha is None or not np.all(np.isfinite(alpha)):
-            alpha = _solve_krr_dense(x, y, w, lambda_reg)
+        values = pooled.solve(lambda_reg)
     elif solver == "dense":
-        alpha = _solve_krr_dense(x, y, w, lambda_reg)
+        values = np.minimum.outer(pooled.knots, x) @ _solve_krr_dense(x, y, w, lambda_reg)
     else:
         raise ValueError(f"unknown solver {solver!r}")
     return KernelRidgeModel(
         regressor_id="weighted-krr",
-        anchors=x,
-        alpha=alpha,
+        knots=pooled.knots,
+        values=values,
         lambda_reg=float(lambda_reg),
+        anchors=x,
+        targets=y,
         weights=w,
         kernel_id=kernel_id,
     )
@@ -286,50 +327,6 @@ def _solve_krr_dense(x, y, w, lambda_reg) -> np.ndarray:
             f"(condition about {cond:.3e})",
             condition=float(cond),
         )
-    return alpha
-
-
-def _solve_krr_banded(x, y, w, lambda_reg) -> np.ndarray | None:
-    """O(m) solve via the tridiagonal inverse of the min-kernel Gram matrix.
-
-    Returns None when the reduced point set is degenerate, signalling the
-    caller to use the dense path.
-    """
-    active = (w > 0) & (x > 0)
-    alpha = np.zeros_like(x)
-    # rows at x == 0 have K(0, .) = 0: the system forces alpha = w*y/lam there
-    at_zero = (w > 0) & (x == 0)
-    alpha[at_zero] = w[at_zero] * y[at_zero] / lambda_reg
-    if not np.any(active):
-        return alpha
-    xs = x[active]
-    order = np.argsort(xs, kind="stable")
-    xs = xs[order]
-    ux, inverse = np.unique(xs, return_inverse=True)
-    wsum = np.bincount(inverse, weights=w[active][order])
-    wy = np.bincount(inverse, weights=(w[active] * y[active])[order])
-    gaps = np.diff(np.concatenate([[0.0], ux]))
-    if np.any(gaps < 1e-13):
-        return None
-    m = ux.size
-    inv_gaps = 1.0 / gaps
-    diag = lambda_reg * (inv_gaps + np.concatenate([inv_gaps[1:], [0.0]])) + wsum
-    off = -lambda_reg * inv_gaps[1:]
-    ab = np.zeros((3, m))
-    ab[0, 1:] = off
-    ab[1] = diag
-    ab[2, :-1] = off
-    try:
-        beta = scipy.linalg.solve_banded((1, 1), ab, wy)
-    except scipy.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(beta)):
-        return None
-    fitted = np.zeros_like(x)
-    fitted_active = beta[inverse]
-    idx_active = np.flatnonzero(active)
-    fitted[idx_active[order]] = fitted_active
-    alpha[active] = (w[active] * (y[active] - fitted[active])) / lambda_reg
     return alpha
 
 
@@ -537,8 +534,9 @@ def cross_validate_lambda(
     """Pick the ridge level minimizing the weighted validation square loss.
 
     Folds are contiguous blocks of a seeded shuffle; each candidate is fitted
-    on the remaining blocks with the supplied training weights.  Ties are
-    broken toward the larger regularizer.
+    on the remaining blocks with the supplied training weights, each fold
+    pooled once for all candidates.  Ties are broken toward the larger
+    regularizer.  A non-finite fold loss raises ``RegressionError``.
 
     A fold whose training rows all have zero weight is skipped, and skipping
     is exact: with zero training weight the ridge objective is minimized by
@@ -562,20 +560,21 @@ def cross_validate_lambda(
     if x.size < folds:
         raise ValueError(f"{x.size} points cannot fill {folds} folds")
     perm = make_generator(mix_seed(seed, "cv-shuffle")).permutation(x.size)
-    blocks = np.array_split(perm, folds)
-    best_lambda = grid[0]
-    best_loss = np.inf
-    for lam in grid:
-        loss = 0.0
-        for val_idx in blocks:
-            mask = np.ones(x.size, dtype=bool)
-            mask[val_idx] = False
-            if not np.any(w[mask] > 0):
-                continue
-            model = fit_weighted_krr(x[mask], y[mask], w[mask], lam, kernel_id)
-            resid = y[val_idx] - model.predict(x[val_idx])
-            loss += float(np.sum(w[val_idx] * resid**2))
-        if loss <= best_loss:
-            best_loss = loss
-            best_lambda = lam
-    return best_lambda
+    losses = [0.0] * len(grid)
+    for fold, val_idx in enumerate(np.array_split(perm, folds)):
+        mask = np.ones(x.size, dtype=bool)
+        mask[val_idx] = False
+        if not np.any(w[mask] > 0):
+            continue
+        pooled = _PooledStates(*_validate_kernel_inputs(x[mask], y[mask], w[mask], kernel_id))
+        x_val, y_val, w_val = x[val_idx], y[val_idx], w[val_idx]
+        for j, lam in enumerate(grid):
+            resid = y_val - np.interp(x_val, pooled.knots, pooled.solve(lam))
+            loss = float(np.sum(w_val * resid**2))
+            if not np.isfinite(loss):
+                raise RegressionError(
+                    f"cross-validation loss is not finite at lambda {lam:g} on fold {fold}"
+                )
+            losses[j] += loss
+    best = min(losses)
+    return max(lam for lam, loss in zip(grid, losses) if loss == best)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from ope_lab import regression
@@ -93,6 +94,70 @@ def test_krr_input_validation():
         fit_weighted_krr(np.array([1.5]), y, w, 1.0)
     with pytest.raises(ValueError):
         fit_weighted_krr(x, y, w, 1.0, kernel_id="rbf")
+    with pytest.raises(ValueError):
+        fit_weighted_krr(np.array([np.nan]), y, w, 1.0)
+
+
+def test_krr_near_ties_pool_without_the_dense_solver(monkeypatch):
+    # 0.3 + 1e-15 pools into the knot at 0.3 and 5e-14 into the origin
+    x = np.array([0.1, 0.3, 0.3 + 1e-15, 0.7, 5e-14])
+    y = np.array([1.0, -0.5, 2.0, 0.3, 4.0])
+    w = np.array([1.0, 0.7, 1.3, 2.0, 0.9])
+    q = np.linspace(0.0, 1.0, 101)
+
+    def refuse(*args):
+        raise AssertionError("the auto solver fell back to the dense solver")
+
+    for lam in (1e-3, 1.0, 1e3):
+        dense = fit_weighted_krr(x, y, w, lam, solver="dense")
+        with monkeypatch.context() as patch:
+            patch.setattr(regression, "_solve_krr_dense", refuse)
+            auto = fit_weighted_krr(x, y, w, lam)
+        assert np.array_equal(auto.knots, [0.0, 0.1, 0.3, 0.7])
+        scale = max(1.0, np.max(np.abs(dense.predict(q))))
+        assert np.max(np.abs(auto.predict(q) - dense.predict(q))) < 1e-8 * scale
+
+
+def test_krr_non_finite_solve_raises():
+    x, y, w = np.array([0.2, 0.6]), np.array([1e300, 1e300]), np.array([1e10, 1e10])
+    with pytest.raises(RegressionError, match="lambda 1 with 2 knots"):
+        fit_weighted_krr(x, y, w, 1.0)
+
+
+def _tied_data(seed):
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([np.round(rng.random(40), 2), [0.0, 0.0, 0.5, 0.5]])
+    y = rng.normal(size=44)
+    w = np.concatenate([rng.random(40) + 0.1, [1.5, 0.0, 0.2, 2.0]])
+    w[:6] = 0.0
+    return x, y, w
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_krr_predicts_the_banded_values_at_its_knots(seed):
+    x, y, w = _tied_data(seed)
+    lam = 0.3
+    model = fit_weighted_krr(x, y, w, lam)
+    keep = (w > 0) & (x > 0)
+    knots, inverse = np.unique(x[keep], return_inverse=True)
+    inv = 1.0 / np.diff(np.concatenate([[0.0], knots]))
+    off = -lam * inv[1:]
+    ab = np.zeros((3, knots.size))
+    ab[0, 1:], ab[2, :-1] = off, off
+    ab[1] = lam * (inv + np.concatenate([inv[1:], [0.0]])) + np.bincount(inverse, weights=w[keep])
+    beta = scipy.linalg.solve_banded((1, 1), ab, np.bincount(inverse, weights=(w * y)[keep]))
+    assert np.array_equal(model.knots, np.concatenate([[0.0], knots]))
+    assert np.array_equal(model.predict(model.knots[1:]), beta)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_krr_derived_alpha_solves_the_representer_system(seed):
+    x, y, w = _tied_data(seed)
+    gram = np.minimum.outer(x, x)
+    for lam in (1e-3, 1.0, 1e3):
+        alpha = fit_weighted_krr(x, y, w, lam).alpha
+        resid = (w[:, None] * gram + lam * np.eye(x.size)) @ alpha - w * y
+        assert np.linalg.norm(resid) < 1e-8 * np.linalg.norm(w * y)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +459,57 @@ def test_cv_skipping_a_fold_without_training_weight_is_exact():
     losses = [reference_loss(lam) for lam in grid]
     best = max(lam for lam, loss in zip(grid, losses) if loss == min(losses))
     assert cross_validate_lambda(x, y, w, grid=grid, folds=folds, seed=seed) == best
+
+
+def _reference_cv(x, y, w, grid, folds, seed):
+    # one full fit per (ridge level, fold), the candidate loop outermost
+    blocks = np.array_split(
+        make_generator(mix_seed(seed, "cv-shuffle")).permutation(x.size), folds
+    )
+    best_lambda, best_loss = None, np.inf
+    for lam in sorted(grid):
+        loss = 0.0
+        for val in blocks:
+            train = np.ones(x.size, dtype=bool)
+            train[val] = False
+            if not np.any(w[train] > 0):
+                continue
+            model = fit_weighted_krr(x[train], y[train], w[train], lam)
+            loss += float(np.sum(w[val] * (y[val] - model.predict(x[val])) ** 2))
+        if loss <= best_loss:
+            best_lambda, best_loss = lam, loss
+    return best_lambda
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("case", ["zero-weights", "origin", "ties", "all-tied", "zero-targets"])
+def test_cv_matches_a_fit_per_candidate_and_fold(case, seed):
+    rng = np.random.default_rng(seed)
+    n = 60
+    x = rng.random(n)
+    y = np.sin(4.0 * x) + 0.3 * rng.standard_normal(n)
+    w = rng.uniform(0.2, 3.0, n)
+    if case == "zero-weights":
+        w[rng.random(n) < 0.4] = 0.0
+    elif case == "origin":
+        x[:8] = 0.0
+    elif case == "ties":
+        x = np.round(x, 1)
+    elif case == "all-tied":
+        x = rng.choice([0.25, 0.5, 0.75], size=n)
+    else:
+        y = np.zeros(n)
+    grid = [1e-3, 1e-2, 0.1, 1.0, 10.0, 1e3, 1e6]
+    got = cross_validate_lambda(x, y, w, grid=grid, folds=5, seed=seed)
+    assert got == _reference_cv(x, y, w, grid, folds=5, seed=seed)
+
+
+def test_cv_rejects_a_non_finite_loss():
+    rng = np.random.default_rng(16)
+    x = rng.random(20)
+    y = 1e200 * (1.0 + rng.random(20))  # finite, but squared residuals overflow
+    with pytest.raises(RegressionError, match=r"lambda 0\.1 on fold 0"):
+        cross_validate_lambda(x, y, np.ones(20), grid=[0.1, 1.0], folds=4, seed=0)
 
 
 def test_cv_requires_enough_points():
