@@ -237,10 +237,9 @@ class _PooledStates:
         starts = np.diff(xs, prepend=0.0) >= TIE_GAP
         # knot 0 is the origin, where f = 0: states pooled into it drop out
         knot_of = np.cumsum(starts)
-        m = int(knot_of[-1]) if knot_of.size else 0
         self.knots = np.concatenate([[0.0], xs[starts]])
-        self.wsum = np.bincount(knot_of, weights=w[keep][order], minlength=m + 1)[1:]
-        self.wy = np.bincount(knot_of, weights=(w[keep] * y[keep])[order], minlength=m + 1)[1:]
+        self.wsum = np.bincount(knot_of, weights=w[keep][order], minlength=1)[1:]
+        self.wy = np.bincount(knot_of, weights=(w[keep] * y[keep])[order], minlength=1)[1:]
         self.inv_gaps = 1.0 / np.diff(self.knots)
         self.coupling = self.inv_gaps + np.concatenate([self.inv_gaps[1:], [0.0]])
 
