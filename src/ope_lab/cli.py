@@ -115,12 +115,16 @@ def _diagnose(args) -> int:
         return 0
     if args.diag_command == "rademacher-profile":
         spec, _ = _ellipsoid_spec(instance, args.features, radius=1.0)
-        rows = []
         for r in args.radii:
-            est = complexity.rademacher_R_mc(
-                instance, spec.with_radius(r), m=args.m, reps=args.reps, seed=args.seed
-            )
-            rows.append((r, est))
+            spec.with_radius(r)  # rejects a negative radius
+        # with common random numbers the ellipsoid's R(r) is r * R(1)
+        unit = complexity.rademacher_R_mc(
+            instance, spec, m=args.m, reps=args.reps, seed=args.seed
+        )
+        rows = [
+            (r, complexity.ComplexityEstimate(r * unit.value, r * unit.stderr, unit.reps))
+            for r in args.radii
+        ]
         text = complexity.profile_csv_rows(rows)
         if args.out:
             with open(args.out, "w", newline="\n") as fh:

@@ -28,7 +28,14 @@ from typing import Callable, NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .core import FiniteStates, ProblemInstance, weighted_norm
+from .core import (
+    FiniteStates,
+    ProblemInstance,
+    _draw_pairs,
+    _likelihood_ratio,
+    _pair_values,
+    weighted_norm,
+)
 from .quadrature import adaptive_simpson
 from .rng import make_generator, mix_seed, substream
 
@@ -154,22 +161,6 @@ def moment_matrices(instance: ProblemInstance, feature_map) -> tuple[np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _sample_pairs(instance: ProblemInstance, m: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(instance.states, FiniteStates):
-        idx = rng.choice(instance.states.values.size, size=m, p=instance.states.probs)
-        x = instance.states.values[idx]
-    else:
-        x = np.asarray(instance.states.sampler(rng, m), dtype=float)
-    joint = np.asarray(instance.propensity(x), dtype=float) * instance.actions.base_weights
-    u = rng.random(m)
-    a_idx = np.clip(
-        (np.cumsum(joint, axis=1) < u[:, None]).sum(axis=1),
-        0,
-        instance.actions.n_actions - 1,
-    )
-    return x, instance.actions.labels[a_idx]
-
-
 def _score_sup(spec: LocalizedClassSpec, score: np.ndarray, chol) -> float:
     """Closed-form supremum of <theta, score> over the localized class."""
     if spec.class_id == "singleton-zero":
@@ -216,15 +207,12 @@ def rademacher_S_mc(
     sups_sq = np.empty(reps)
     for r in range(reps):
         rng = substream(seed, r)
-        x, a = _sample_pairs(instance, m, rng)
-        ratio2 = (
-            np.asarray(instance.weight_fn(x, a), dtype=float)
-            / instance.propensity_at(x, a)
-        ) ** 2
+        x, a, index = _draw_pairs(instance, m, rng)
+        ratio2 = _likelihood_ratio(instance, x, a, index) ** 2
         if isinstance(multiplier, str):
             if multiplier != "outcome-noise":
                 raise ValueError(f"unknown multiplier {multiplier!r}")
-            sd = np.asarray(instance.outcome_sd(x, a), dtype=float) * np.ones(m)
+            sd = _pair_values(instance, instance.outcome_sd, x, a, index)
             mult = sd * rng.standard_normal(m)
         else:
             mult = np.asarray(multiplier(x, a), dtype=float) * np.ones(m)
@@ -253,11 +241,8 @@ def rademacher_R_mc(
     sups = np.empty(reps)
     for r in range(reps):
         rng = substream(seed, r)
-        x, a = _sample_pairs(instance, m, rng)
-        ratio = (
-            np.asarray(instance.weight_fn(x, a), dtype=float)
-            / instance.propensity_at(x, a)
-        )
+        x, a, index = _draw_pairs(instance, m, rng)
+        ratio = _likelihood_ratio(instance, x, a, index)
         eps = rng.integers(0, 2, size=m) * 2.0 - 1.0
         phi = _features_at(spec, x, a)
         score = (eps * ratio) @ phi / m
@@ -365,7 +350,7 @@ def small_ball_estimate(
     if h_norm == 0.0:
         raise ValueError("small-ball probability undefined for ||h||_w = 0")
     rng = make_generator(mix_seed(seed, "small-ball"))
-    x, a = _sample_pairs(instance, reps, rng)
+    x, a, _ = _draw_pairs(instance, reps, rng)
     vals = np.abs(
         np.asarray(instance.weight_fn(x, a), dtype=float)
         * np.asarray(h(x, a), dtype=float)

@@ -14,6 +14,16 @@ and the central error metric is the weighted L2 norm
 All expectations are computed exactly: enumeration for finite state spaces,
 adaptive Simpson quadrature for one-dimensional continuous states on [0, 1].
 
+Finite instances built with ``from_tables`` are also evaluated by index.  The
+draw picks state and action indices and reads pi, mu and sd from the tables;
+an estimator resolves the observed states and actions to table indices once
+per call (``ProblemInstance.table_index``) and reads pi, g and mu rows from
+the tables.  Indices are never stored on a dataset, so a dataset scored
+against another instance is looked up in that instance's tables.  Other
+callables (auxiliaries, first-stage fits), continuous instances and
+instances whose fields were replaced after ``from_tables`` are evaluated on
+the state and action values.
+
 Evaluable fields (propensity, weight_fn, outcome_mean, outcome_sd) must be
 vectorized over numpy arrays with standard broadcasting.  Action identifiers
 are distinct real numbers; state values are real numbers as well, which keeps
@@ -54,6 +64,21 @@ class PropensityError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+class _SortedKeys:
+    """Distinct real values and their sort order, for index lookups."""
+
+    def __init__(self, values: np.ndarray):
+        self.order = np.argsort(values)
+        self.sorted = values[self.order]
+
+    def find(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Indices of the queries among the values, and the mask of queries
+        that are not among them (their indices are meaningless)."""
+        pos = np.searchsorted(self.sorted, queries)
+        miss = self.sorted.take(pos, mode="clip") != queries
+        return self.order.take(pos, mode="clip"), miss
+
+
 @dataclass(frozen=True)
 class ActionSpace:
     """Finite action set with a positive base measure lambda."""
@@ -72,8 +97,9 @@ class ActionSpace:
             raise ValueError("action identifiers must be distinct")
         if weights.shape != labels.shape:
             raise ValueError("base_weights must match labels in length")
-        if np.any(weights <= 0):
+        if not (weights > 0).all():
             raise ValueError("all base weights must be positive")
+        object.__setattr__(self, "_keys", _SortedKeys(labels))
 
     @classmethod
     def counting(cls, labels) -> "ActionSpace":
@@ -101,12 +127,20 @@ class FiniteStates:
             raise ValueError("finite state space must be non-empty")
         if len(np.unique(values)) != values.size:
             raise ValueError("state values must be distinct")
-        if np.any(probs < 0):
-            raise ValueError("state probabilities must be non-negative")
-        if abs(float(probs.sum()) - 1.0) > 1e-12:
+        if probs.shape != values.shape:
+            raise ValueError("probs must match state values in length")
+        ok = probs >= 0
+        if not ok.all():
+            bad = int(np.argmin(ok))
+            raise ValueError(
+                f"state probability of state {values[bad]} is {probs[bad]}, "
+                f"not a non-negative number"
+            )
+        if not abs(float(probs.sum()) - 1.0) <= 1e-12:
             raise ValueError(
                 f"state probabilities sum to {probs.sum()}, not 1 within 1e-12"
             )
+        object.__setattr__(self, "_keys", _SortedKeys(values))
 
 
 @dataclass(frozen=True)
@@ -171,23 +205,25 @@ class ProblemInstance:
             raise ValueError(
                 f"propensity(x) must return shape (n, {self.actions.n_actions})"
             )
-        if np.any(pmat <= 0):
-            bad = int(np.argwhere(pmat <= 0)[0][0])
+        positive = pmat > 0
+        if not positive.all():
+            bad = int(np.argwhere(~positive)[0][0])
             raise PropensityError(
                 f"propensity not strictly positive at state {probe[bad]}",
                 state=float(probe[bad]),
             )
         norms = pmat @ self.actions.base_weights
         worst = int(np.argmax(np.abs(norms - 1.0)))
-        if abs(norms[worst] - 1.0) > NORMALIZATION_TOL:
+        if not abs(norms[worst] - 1.0) <= NORMALIZATION_TOL:
             raise PropensityError(
                 f"propensity at state {probe[worst]} has lambda-mass "
                 f"{norms[worst]}, not 1 within {NORMALIZATION_TOL}",
                 state=float(probe[worst]),
             )
         sd = self._pair_grid(self.outcome_sd, probe)
-        if np.any(sd < 0):
+        if not (sd >= 0).all():
             raise ValueError("outcome_sd must be non-negative")
+        object.__setattr__(self, "_table_keys", self._own_table_keys())
 
     # -- evaluation helpers -------------------------------------------------
 
@@ -213,16 +249,34 @@ class ProblemInstance:
 
     def action_index(self, a: np.ndarray) -> np.ndarray:
         """Map action labels to their indices in the action space."""
-        labels = self.actions.labels
-        order = np.argsort(labels)
         a = np.atleast_1d(np.asarray(a, dtype=float))
-        pos = np.searchsorted(labels[order], a)
-        pos = np.clip(pos, 0, labels.size - 1)
-        idx = order[pos]
-        if np.any(labels[idx] != a):
-            bad = a[labels[idx] != a][0]
-            raise ValueError(f"action {bad} not in the instance action space")
+        idx, miss = self.actions._keys.find(a)
+        if miss.any():
+            raise ValueError(f"action {a[miss][0]} not in the instance action space")
         return idx
+
+    def table_index(self, x: np.ndarray, a: np.ndarray):
+        """Indices (state, action) of the pairs (x_i, a_i) into the tables of a
+        table-backed finite instance, or None when the instance has none.
+
+        An unknown action or state raises as a table lookup does.
+        """
+        if self._table_keys is None:
+            return None
+        ai = self.action_index(a)
+        return _lookup_index(self.states._keys, np.asarray(x, dtype=float)), ai
+
+    def _own_table_keys(self):
+        """(state keys, action keys) when propensity, weight_fn, outcome_mean
+        and outcome_sd are all tables over this instance's own states and
+        actions (as ``from_tables`` builds them), else None."""
+        if not isinstance(self.states, FiniteStates):
+            return None
+        keys = (self.states._keys, self.actions._keys)
+        fns = (self.propensity, self.weight_fn, self.outcome_mean, self.outcome_sd)
+        if all(isinstance(fn, _TableFn) and fn.keys == keys for fn in fns):
+            return keys
+        return None
 
     def lam_inner(self, fn, x: np.ndarray) -> np.ndarray:
         """<fn(x, .), lambda> = sum_a lambda(a) fn(x, a), vectorized in x."""
@@ -263,7 +317,8 @@ class ProblemInstance:
         """Finite instance from per-(state, action) tables.
 
         Tables are (n_states, n_actions) arrays aligned with the given state
-        values and action labels.
+        values and action labels.  A non-finite entry raises naming the table
+        and its (state, action) cell.
         """
         states = np.asarray(states, dtype=float)
         action_space = (
@@ -271,68 +326,83 @@ class ProblemInstance:
             if base_weights is None
             else ActionSpace(np.asarray(actions, dtype=float), np.asarray(base_weights, dtype=float))
         )
-        prop = _TablePropensity(states, np.asarray(propensity_table, dtype=float))
+        finite = FiniteStates(states, np.asarray(probs, dtype=float))
+        labels = action_space.labels
+        tables = {}
+        for name, table in (
+            ("propensity", propensity_table),
+            ("weight", weight_table),
+            ("outcome_mean", outcome_mean_table),
+            ("outcome_sd", outcome_sd_table),
+        ):
+            table = np.array(table, dtype=float)
+            if table.shape != (states.size, labels.size):
+                raise ValueError(
+                    f"{name} table has shape {table.shape}, "
+                    f"expected ({states.size}, {labels.size})"
+                )
+            finite_cells = np.isfinite(table)
+            if not finite_cells.all():
+                i, k = np.argwhere(~finite_cells)[0]
+                raise ValueError(
+                    f"{name} table is not finite at (state {states[i]}, "
+                    f"action {labels[k]}): {table[i, k]}"
+                )
+            tables[name] = table
+
+        keys = (finite._keys, action_space._keys)
         return cls(
-            states=FiniteStates(states, np.asarray(probs, dtype=float)),
+            states=finite,
             actions=action_space,
-            propensity=prop,
-            weight_fn=_TablePairFn(states, action_space.labels, weight_table),
-            outcome_mean=_TablePairFn(states, action_space.labels, outcome_mean_table),
-            outcome_sd=_TablePairFn(states, action_space.labels, outcome_sd_table),
+            propensity=_TablePropensity(keys, tables["propensity"]),
+            weight_fn=_TablePairFn(keys, tables["weight"]),
+            outcome_mean=_TablePairFn(keys, tables["outcome_mean"]),
+            outcome_sd=_TablePairFn(keys, tables["outcome_sd"]),
             instance_id=instance_id,
             meta={
                 "kind": "finite",
                 "tables": {
                     "states": states.tolist(),
-                    "probs": np.asarray(probs, dtype=float).tolist(),
-                    "actions": action_space.labels.tolist(),
+                    "probs": finite.probs.tolist(),
+                    "actions": labels.tolist(),
                     "base_weights": action_space.base_weights.tolist(),
-                    "propensity": np.asarray(propensity_table, dtype=float).tolist(),
-                    "weight": np.asarray(weight_table, dtype=float).tolist(),
-                    "outcome_mean": np.asarray(outcome_mean_table, dtype=float).tolist(),
-                    "outcome_sd": np.asarray(outcome_sd_table, dtype=float).tolist(),
+                    **{name: table.tolist() for name, table in tables.items()},
                 },
             },
         )
 
 
-def _lookup_index(sorted_values: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(sorted_values, queries)
-    idx = np.clip(idx, 0, sorted_values.size - 1)
-    if np.any(sorted_values[idx] != queries):
-        bad = np.asarray(queries)[sorted_values[idx] != queries].ravel()[0]
-        raise KeyError(f"value {bad} not found in table")
+def _lookup_index(keys: _SortedKeys, queries: np.ndarray) -> np.ndarray:
+    idx, miss = keys.find(queries)
+    if miss.any():
+        raise KeyError(f"value {queries[miss][0]} not found in table")
     return idx
 
 
-class _TablePairFn:
-    """Broadcasting (x, a) -> table[x, a] lookup for finite instances."""
+class _TableFn:
+    """Lookup into a table over (state keys, action keys) of a finite instance."""
 
-    def __init__(self, state_values, action_labels, table):
-        order = np.argsort(np.asarray(state_values, dtype=float))
-        self.state_values = np.asarray(state_values, dtype=float)[order]
-        aorder = np.argsort(np.asarray(action_labels, dtype=float))
-        self.action_labels = np.asarray(action_labels, dtype=float)[aorder]
-        self.table = np.asarray(table, dtype=float)[np.ix_(order, aorder)]
+    def __init__(self, keys: tuple[_SortedKeys, _SortedKeys], table: np.ndarray):
+        self.keys = keys
+        self.table = table
+
+
+class _TablePairFn(_TableFn):
+    """Broadcasting (x, a) -> table[x, a] lookup for finite instances."""
 
     def __call__(self, x, a):
         x, a = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(a, dtype=float))
-        si = _lookup_index(self.state_values, x.ravel()).reshape(x.shape)
-        ai = _lookup_index(self.action_labels, a.ravel()).reshape(a.shape)
+        si = _lookup_index(self.keys[0], x.ravel()).reshape(x.shape)
+        ai = _lookup_index(self.keys[1], a.ravel()).reshape(a.shape)
         return self.table[si, ai]
 
 
-class _TablePropensity:
+class _TablePropensity(_TableFn):
     """x -> full propensity row, preserving the action-space column order."""
-
-    def __init__(self, state_values, table):
-        order = np.argsort(np.asarray(state_values, dtype=float))
-        self.state_values = np.asarray(state_values, dtype=float)[order]
-        self.table = np.asarray(table, dtype=float)[order]
 
     def __call__(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        return self.table[_lookup_index(self.state_values, x)]
+        return self.table[_lookup_index(self.keys[0], x)]
 
 
 @dataclass(frozen=True)
@@ -413,6 +483,48 @@ class Dataset:
 # ---------------------------------------------------------------------------
 
 
+def _draw_pairs(instance: ProblemInstance, n: int, rng: np.random.Generator):
+    """Draw n states from the state law, then an action from pi(X, .) each.
+
+    Returns (x, a, index): ``index`` is the pair (state indices, action
+    indices) into the instance's tables, or None for an instance without
+    tables.  The generator is advanced by ``rng.choice`` (finite states) or
+    the state sampler, then by one ``rng.random(n)``.
+    """
+    by_index = instance._table_keys is not None
+    if isinstance(instance.states, FiniteStates):
+        si = rng.choice(instance.states.values.size, size=n, p=instance.states.probs)
+        x = instance.states.values[si]
+    else:
+        x = np.asarray(instance.states.sampler(rng, n), dtype=float)
+    if by_index:
+        pmat = instance.propensity.table[si]
+    else:
+        pmat = np.asarray(instance.propensity(x), dtype=float)
+    joint = pmat * instance.actions.base_weights
+    nonneg = joint >= 0
+    if not nonneg.all():
+        bad = int(np.argwhere(~nonneg)[0][0])
+        raise PropensityError(
+            f"negative action probability at sampled state {x[bad]}",
+            state=float(x[bad]),
+        )
+    rowsum = joint.sum(axis=1)
+    worst = int(np.argmax(np.abs(rowsum - 1.0)))
+    if not abs(rowsum[worst] - 1.0) <= NORMALIZATION_TOL:
+        raise PropensityError(
+            f"propensity at sampled state {x[worst]} has mass {rowsum[worst]}",
+            state=float(x[worst]),
+        )
+    u = rng.random(n)
+    ai = np.minimum(
+        (np.cumsum(joint, axis=1) < u[:, None]).sum(axis=1),
+        instance.actions.n_actions - 1,
+    )
+    a = instance.actions.labels[ai]
+    return x, a, ((si, ai) if by_index else None)
+
+
 def sample_dataset(instance: ProblemInstance, n: int, seed: int) -> Dataset:
     """Draw n i.i.d. triples: X from the state law, A from pi(X, .), then
     Y = mu(X, A) + sd(X, A) * Z with standard normal Z.
@@ -422,38 +534,52 @@ def sample_dataset(instance: ProblemInstance, n: int, seed: int) -> Dataset:
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = make_generator(seed)
-    if isinstance(instance.states, FiniteStates):
-        idx = rng.choice(instance.states.values.size, size=n, p=instance.states.probs)
-        x = instance.states.values[idx]
-    else:
-        x = np.asarray(instance.states.sampler(rng, n), dtype=float)
-
-    pmat = np.asarray(instance.propensity(x), dtype=float)
-    joint = pmat * instance.actions.base_weights
-    if np.any(joint < 0):
-        bad = int(np.argwhere(joint < 0)[0][0])
-        raise PropensityError(
-            f"negative action probability at sampled state {x[bad]}",
-            state=float(x[bad]),
-        )
-    rowsum = joint.sum(axis=1)
-    worst = int(np.argmax(np.abs(rowsum - 1.0)))
-    if abs(rowsum[worst] - 1.0) > NORMALIZATION_TOL:
-        raise PropensityError(
-            f"propensity at sampled state {x[worst]} has mass {rowsum[worst]}",
-            state=float(x[worst]),
-        )
-    u = rng.random(n)
-    a_idx = np.clip(
-        (np.cumsum(joint, axis=1) < u[:, None]).sum(axis=1),
-        0,
-        instance.actions.n_actions - 1,
-    )
-    a = instance.actions.labels[a_idx]
-    mu = np.asarray(instance.outcome_mean(x, a), dtype=float) * np.ones(n)
-    sd = np.asarray(instance.outcome_sd(x, a), dtype=float) * np.ones(n)
+    x, a, index = _draw_pairs(instance, n, rng)
+    mu = _pair_values(instance, instance.outcome_mean, x, a, index)
+    sd = _pair_values(instance, instance.outcome_sd, x, a, index)
     y = mu + sd * rng.standard_normal(n)
     return Dataset(x=x, a=a, y=y, seed=int(seed), instance_id=instance.instance_id)
+
+
+def _by_index(instance: ProblemInstance, fn, index) -> bool:
+    """Whether fn is a table over the instance's keys and ``index`` (from
+    ``table_index`` or a draw) locates the pairs in it."""
+    return index is not None and isinstance(fn, _TableFn) and fn.keys == instance._table_keys
+
+
+def _pair_values(instance: ProblemInstance, fn, x, a, index) -> np.ndarray:
+    """fn(x_i, a_i) for every pair, read from fn's table when it is one."""
+    if _by_index(instance, fn, index):
+        return fn.table[index]
+    return np.asarray(fn(x, a), dtype=float) * np.ones(len(x))
+
+
+def _pair_rows(instance: ProblemInstance, fn, x, index) -> np.ndarray:
+    """fn(x_i, a) for every pair's state and every action a, shape (n, K);
+    the propensity's rows when fn is ``instance.propensity``."""
+    if _by_index(instance, fn, index):
+        return fn.table[index[0]]
+    if fn is instance.propensity:
+        return np.asarray(fn(x), dtype=float)
+    return instance._pair_grid(fn, x)
+
+
+def _likelihood_ratio(instance: ProblemInstance, x, a, index=None) -> np.ndarray:
+    """g/pi at the pairs (x_i, a_i), read from the tables when ``index`` is
+    given; zero propensity raises naming the pair."""
+    if index is None:
+        pi_vals = instance.propensity_at(x, a)
+    else:
+        pi_vals = instance.propensity.table[index]
+    g_vals = _pair_values(instance, instance.weight_fn, x, a, index)
+    positive = pi_vals > 0
+    if not positive.all():
+        bad = int(np.argmin(positive))
+        raise ValueError(
+            f"propensity is not positive at observed pair "
+            f"(x={x[bad]}, a={a[bad]})"
+        )
+    return g_vals / pi_vals
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import regression
-from .core import Dataset, ProblemInstance, weight_inner
+from .core import Dataset, ProblemInstance, _likelihood_ratio, _pair_rows, _pair_values
 from .rng import mix_seed
 
 REPORT_CSV_HEADER = "estimator_id,n,seed,tau_hat,plugin_variance"
@@ -147,17 +147,11 @@ class TwoStageReport(EstimateReport):
 # ---------------------------------------------------------------------------
 
 
-def _likelihood_ratio(instance: ProblemInstance, x, a) -> np.ndarray:
-    """g/pi at observed pairs; zero propensity raises naming the pair."""
-    pi_vals = instance.propensity_at(x, a)
-    if np.any(pi_vals <= 0):
-        bad = int(np.argwhere(pi_vals <= 0)[0][0])
-        raise ValueError(
-            f"propensity is not positive at observed pair "
-            f"(x={x[bad]}, a={a[bad]})"
-        )
-    g_vals = np.asarray(instance.weight_fn(x, a), dtype=float) * np.ones(len(x))
-    return g_vals / pi_vals
+def _observed(instance: ProblemInstance, data: Dataset):
+    """Table indices of the observed pairs (None without tables), resolved
+    once per estimator call, and g/pi at the pairs."""
+    index = instance.table_index(data.x, data.a)
+    return index, _likelihood_ratio(instance, data.x, data.a, index)
 
 
 def _sample_variance(values: np.ndarray) -> float:
@@ -166,10 +160,13 @@ def _sample_variance(values: np.ndarray) -> float:
     return float(np.var(values, ddof=1))
 
 
-def _influence(instance: ProblemInstance, ratio, x, a, y, mu_fn) -> np.ndarray:
-    """g/pi (y - mu) + <g, mu> at observed pairs, given ratio = g/pi there."""
-    mu_obs = np.asarray(mu_fn(x, a), dtype=float)
-    return ratio * (y - mu_obs) + weight_inner(instance, mu_fn, x)
+def _influence(instance: ProblemInstance, ratio, x, a, y, mu_fn, index=None) -> np.ndarray:
+    """g/pi (y - mu) + <g, mu> at observed pairs, given ratio = g/pi there and
+    the pairs' table indices (None without tables)."""
+    mu_obs = _pair_values(instance, mu_fn, x, a, index)
+    g_rows = _pair_rows(instance, instance.weight_fn, x, index)
+    inner = (g_rows * _pair_rows(instance, mu_fn, x, index)) @ instance.actions.base_weights
+    return ratio * (y - mu_obs) + inner
 
 
 def _report(estimator_id: str, data: Dataset, terms, cls=EstimateReport, **extra):
@@ -192,7 +189,8 @@ def _report(estimator_id: str, data: Dataset, terms, cls=EstimateReport, **extra
 def ipw_estimate(data: Dataset, instance: ProblemInstance) -> EstimateReport:
     """Importance-reweighted plug-in estimate: mean of g/pi * y, the influence
     vector at mu = 0."""
-    return _report("ipw", data, _likelihood_ratio(instance, data.x, data.a) * data.y)
+    _, ratio = _observed(instance, data)
+    return _report("ipw", data, ratio * data.y)
 
 
 def generic_estimate(
@@ -202,9 +200,10 @@ def generic_estimate(
 
     mean of [ g/pi * y - f(x, a) + <f(x, .), pi(x, .)> ].
     """
-    ratio = _likelihood_ratio(instance, data.x, data.a)
+    index, ratio = _observed(instance, data)
     f_obs = np.asarray(f(data.x, data.a), dtype=float) * np.ones(len(data))
-    recenter = instance.conditional_mean(f, data.x)
+    pmat = _pair_rows(instance, instance.propensity, data.x, index)
+    recenter = (pmat * _pair_rows(instance, f, data.x, index)) @ instance.actions.base_weights
     return _report("generic", data, ratio * data.y - f_obs + recenter)
 
 
@@ -213,8 +212,10 @@ def oracle_estimate(data: Dataset, instance: ProblemInstance) -> EstimateReport:
 
     Not computable from data alone; serves as the efficiency baseline.
     """
-    ratio = _likelihood_ratio(instance, data.x, data.a)
-    terms = _influence(instance, ratio, data.x, data.a, data.y, instance.outcome_mean)
+    index, ratio = _observed(instance, data)
+    terms = _influence(
+        instance, ratio, data.x, data.a, data.y, instance.outcome_mean, index
+    )
     return _report("oracle", data, terms)
 
 
@@ -222,8 +223,10 @@ def asymptotic_variance_estimate(
     data: Dataset, mu_fn, instance: ProblemInstance
 ) -> float:
     """Sample variance of the influence terms g/pi (y - muhat) + <g, muhat>."""
-    ratio = _likelihood_ratio(instance, data.x, data.a)
-    return _sample_variance(_influence(instance, ratio, data.x, data.a, data.y, mu_fn))
+    index, ratio = _observed(instance, data)
+    return _sample_variance(
+        _influence(instance, ratio, data.x, data.a, data.y, mu_fn, index)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +318,7 @@ def two_stage_estimate(
         raise ValueError(f"need n >= {2 * spec.folds} samples for {spec.folds} folds")
     n1 = (n + 1) // 2
     halves = (np.arange(n1), np.arange(n1, n))
-    ratio = _likelihood_ratio(instance, data.x, data.a)
+    index, ratio = _observed(instance, data)
 
     fits = []
     for j, idx in enumerate(halves, start=1):
@@ -335,8 +338,10 @@ def two_stage_estimate(
     # each half is scored with the fit trained on the other half
     infl = np.empty(n)
     for idx, fit in zip(halves, (fit2, fit1)):
+        half_index = None if index is None else (index[0][idx], index[1][idx])
         infl[idx] = _influence(
-            instance, ratio[idx], data.x[idx], data.a[idx], data.y[idx], fit.predict_xa
+            instance, ratio[idx], data.x[idx], data.a[idx], data.y[idx],
+            fit.predict_xa, half_index,
         )
 
     mu1 = np.asarray(fit1.predict_xa(data.x, data.a), dtype=float)

@@ -138,6 +138,17 @@ def test_plain_complexity_matches_full_enumeration():
     assert abs(est.value - exact) < 3 * est.stderr
 
 
+def test_mc_complexities_are_pinned():
+    # recorded before the Monte Carlo drew pairs by index: the draw order of
+    # states, actions, noise and signs must not move
+    inst = make_d1(1.0)
+    spec = ellipsoid_spec(inst)
+    s_est = rademacher_S_mc(inst, spec, m=20, reps=50, seed=5)
+    r_est = rademacher_R_mc(inst, spec, m=20, reps=50, seed=5)
+    assert (s_est.value.hex(), s_est.stderr.hex()) == ("0x1.244937a0a8996p-1", "0x1.f6be3f22507d8p-5")
+    assert (r_est.value.hex(), r_est.stderr.hex()) == ("0x1.4986aac5062fbp-3", "0x1.ec000f15f8d7dp-7")
+
+
 def test_custom_multiplier_matches_enumeration():
     # multiplier h = mu - mubar with mubar = 0: exact mean squared supremum
     inst = make_d1(0.0)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -97,6 +99,58 @@ def test_instance_rejects_zero_overlap():
         )
 
 
+def _d1_table_args(sigma=1.0):
+    return dict(
+        states=[0.0, 1.0],
+        probs=[0.5, 0.5],
+        actions=[0.0, 1.0],
+        propensity_table=[[0.8, 0.2], [0.4, 0.6]],
+        weight_table=[[-1.0, 1.0], [-1.0, 1.0]],
+        outcome_mean_table=[[1.0, 2.0], [0.0, 3.0]],
+        outcome_sd_table=[[sigma, sigma], [sigma, sigma]],
+    )
+
+
+@pytest.mark.parametrize("table", ["propensity", "weight", "outcome_mean", "outcome_sd"])
+def test_from_tables_rejects_a_non_finite_cell_naming_it(table):
+    args = _d1_table_args()
+    cells = [list(row) for row in args[f"{table}_table"]]
+    cells[1][0] = np.nan
+    args[f"{table}_table"] = cells
+    cell = r"\(state 1\.0, action 0\.0\)"
+    with pytest.raises(ValueError, match=rf"{table} table is not finite at {cell}"):
+        ol.ProblemInstance.from_tables(**args)
+
+
+def test_from_tables_rejects_a_misshapen_table():
+    args = _d1_table_args()
+    args["weight_table"] = [[-1.0, 1.0]]
+    with pytest.raises(ValueError, match=r"weight table has shape \(1, 2\), expected \(2, 2\)"):
+        ol.ProblemInstance.from_tables(**args)
+
+
+def test_finite_states_reject_a_nan_probability():
+    args = _d1_table_args()
+    args["probs"] = [np.nan, 0.5]
+    with pytest.raises(ValueError, match=r"state probability of state 0\.0 is nan"):
+        ol.ProblemInstance.from_tables(**args)
+
+
+def test_instance_checks_reject_nan_from_callables():
+    base = simlab.build_builtin_instance("pi1")
+
+    def nan_propensity(x):
+        p = base.propensity(x)
+        p[np.asarray(x) == 0.0] = np.nan
+        return p
+
+    with pytest.raises(ol.PropensityError) as err:
+        dataclasses.replace(base, propensity=nan_propensity)
+    assert err.value.state == 0.0
+    with pytest.raises(ValueError, match="outcome_sd must be non-negative"):
+        dataclasses.replace(base, outcome_sd=lambda x, a: np.full(np.shape(x), np.nan))
+
+
 def test_normalization_holds_on_probe_grid(d1):
     probe = d1.probe_states()
     mass = d1.propensity(probe) @ d1.actions.base_weights
@@ -145,6 +199,38 @@ def test_action_frequencies_follow_propensity(d1):
 def test_sample_requires_positive_n(d1):
     with pytest.raises(ValueError):
         ol.sample_dataset(d1, 0, seed=0)
+
+
+def test_sample_dataset_draw_is_pinned():
+    # recorded before sampling drew by index: rng.choice, rng.random and
+    # standard_normal must keep their order and their number of draws
+    data = ol.sample_dataset(make_d1(1.0), 16, seed=2024)
+    assert data.x.tolist() == [1, 0, 1, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 0, 1]
+    assert data.a.tolist() == [0, 0, 0, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 1, 0, 0]
+    assert [v.hex() for v in data.y] == [
+        "0x1.f50012d28c072p-4", "0x1.4bcbd9b01ca90p-3", "0x1.4a55c85c74db9p+0",
+        "0x1.422dcd02fff06p+1", "0x1.ffcecfbe81fd4p+0", "0x1.586aa3c9b3d08p+1",
+        "-0x1.0a5c58df6540dp-1", "-0x1.d9442122a27efp-2", "0x1.acc97cc7a3f43p+1",
+        "-0x1.27dd887d02645p-1", "0x1.bbae1c09b9590p+0", "0x1.9c174ec7885f9p+1",
+        "0x1.32a2d14b8f9acp+1", "0x1.96a028f04d3fep+0", "0x1.245371490cff0p+0",
+        "-0x1.0f21d3b3764b9p+0",
+    ]
+
+
+def test_table_index_follows_the_given_state_and_action_order():
+    inst = ol.ProblemInstance.from_tables(
+        states=[1.0, 0.0],
+        probs=[0.5, 0.5],
+        actions=[1.0, 0.0],
+        propensity_table=[[0.6, 0.4], [0.2, 0.8]],
+        weight_table=[[1.0, -1.0], [1.0, -1.0]],
+        outcome_mean_table=[[3.0, 0.0], [2.0, 1.0]],
+        outcome_sd_table=[[0.5, 0.5], [0.5, 0.5]],
+    )
+    si, ai = inst.table_index(np.array([0.0, 1.0, 1.0]), np.array([0.0, 0.0, 1.0]))
+    assert si.tolist() == [1, 0, 0] and ai.tolist() == [1, 1, 0]
+    assert inst.outcome_mean(np.array([0.0, 1.0, 1.0]), np.array([0.0, 0.0, 1.0])).tolist() == [1.0, 0.0, 3.0]
+    assert simlab.build_builtin_instance("pi1").table_index(np.zeros(1), np.zeros(1)) is None
 
 
 def test_table_lookup_of_unknown_state_names_it(d1):

@@ -318,6 +318,89 @@ def test_two_stage_krr_is_the_mean_of_cross_fitted_influence_terms():
     assert report.plugin_variance == pytest.approx(np.var(infl, ddof=1), rel=1e-12, abs=1e-12)
 
 
+def _unsorted_instance():
+    # d1 with both the states and the actions listed in descending order
+    return ol.ProblemInstance.from_tables(
+        states=[1.0, 0.0],
+        probs=[0.3, 0.7],
+        actions=[1.0, 0.0],
+        propensity_table=[[0.6, 0.4], [0.2, 0.8]],
+        weight_table=[[1.0, -1.0], [0.5, -2.0]],
+        outcome_mean_table=[[3.0, 0.0], [2.0, 1.0]],
+        outcome_sd_table=[[1.0, 0.5], [0.25, 2.0]],
+    )
+
+
+def _float_influence(inst, x, a, y, mu):
+    """Influence terms built from the public callables on state and action values."""
+    g = inst.weight_fn
+    ratio = np.asarray(g(x, a), dtype=float) * np.ones(len(x)) / inst.propensity_at(x, a)
+    inner = inst.lam_inner(lambda xs, aa: np.asarray(g(xs, aa)) * np.asarray(mu(xs, aa)), x)
+    return ratio * (y - mu(x, a)) + inner
+
+
+def _cross_fitted(inst, data, fit1, fit2):
+    n1 = (len(data) + 1) // 2
+    infl = np.empty(len(data))
+    for rows, fit in ((slice(0, n1), fit2), (slice(n1, None), fit1)):
+        infl[rows] = _float_influence(inst, data.x[rows], data.a[rows], data.y[rows], fit)
+    return infl
+
+
+def test_estimators_read_tables_in_the_given_order():
+    inst = _unsorted_instance()
+    data = ol.sample_dataset(inst, 40, seed=5)
+    x, a, y = data.x, data.a, data.y
+    assert set(x) == {0.0, 1.0} and set(a) == {0.0, 1.0}
+    assert inst.table_index(x, a) is not None  # the estimators read tables by index
+
+    def check(report, terms):
+        assert report.tau_hat == float(np.mean(terms))
+        assert report.plugin_variance == float(np.var(terms, ddof=1))
+
+    check(ol.ipw_estimate(data, inst), _float_influence(inst, x, a, y, const_fn(0.0)))
+    check(ol.oracle_estimate(data, inst), _float_influence(inst, x, a, y, inst.outcome_mean))
+    aux = lambda xs, aa: np.asarray(xs, dtype=float) * 2.0 - np.asarray(aa, dtype=float)
+    ratio = inst.weight_fn(x, a) / inst.propensity_at(x, a)
+    generic_terms = ratio * y - aux(x, a) + inst.conditional_mean(aux, x)
+    check(ol.generic_estimate(data, inst, aux), generic_terms)
+    mu = lambda xs, aa: 0.5 + np.asarray(xs, dtype=float) * np.asarray(aa, dtype=float)
+    assert ol.asymptotic_variance_estimate(data, mu, inst) == float(
+        np.var(_float_influence(inst, x, a, y, mu), ddof=1)
+    )
+    frozen = ol.FirstStageSpec(regressor_id="frozen", frozen_fn=mu)
+    check(ol.two_stage_estimate(data, inst, frozen, seed=0), _cross_fitted(inst, data, mu, mu))
+    linear = ol.FirstStageSpec(regressor_id="weighted-linear", feature_map="bilinear-xa", ridge=1e-3)
+    report = ol.two_stage_estimate(data, inst, linear, seed=0)
+    check(report, _cross_fitted(inst, data, *report.first_stage_models))
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda data, inst: ol.ipw_estimate(data, inst),
+    lambda data, inst: ol.oracle_estimate(data, inst),
+    lambda data, inst: ol.generic_estimate(data, inst, const_fn(1.0)),
+    lambda data, inst: ol.asymptotic_variance_estimate(data, const_fn(1.0), inst),
+    lambda data, inst: ol.two_stage_estimate(
+        data, inst, ol.FirstStageSpec(regressor_id="frozen", frozen_fn=const_fn(1.0)), seed=0
+    ),
+])
+def test_estimators_reject_a_foreign_state_or_action(d1, estimate):
+    x = np.tile([0.0, 1.0], 6)
+    a = np.tile([1.0, 0.0], 6)
+
+    def dataset(x, a):
+        return ol.Dataset(x=x, a=a, y=np.ones(x.size), seed=0, instance_id="d1")
+
+    x_bad = x.copy()
+    x_bad[3] = 0.5
+    with pytest.raises(KeyError, match=r"value 0\.5 not found"):
+        estimate(dataset(x_bad, a), d1)
+    a_bad = a.copy()
+    a_bad[4] = 2.0
+    with pytest.raises(ValueError, match=r"action 2\.0 not in"):
+        estimate(dataset(x, a_bad), d1)
+
+
 def test_two_stage_isotonic_first_stage_runs():
     inst = simlab.build_builtin_instance("pi2", gamma=1.0, sigma0=0.3)
     data = ol.sample_dataset(inst, 300, seed=21)

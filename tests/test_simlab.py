@@ -388,6 +388,39 @@ def test_cli_diagnose_critical_radius_and_profile(tmp_path, capsys):
     assert lines[0] == "r,estimate,stderr" and len(lines) == 3
 
 
+def test_cli_rademacher_profile_scales_one_estimate(tmp_path, monkeypatch):
+    inst = make_d1(1.0)
+    inst_path = tmp_path / "inst.json"
+    save_instance(inst, inst_path)
+    mc, write = complexity.rademacher_R_mc, complexity.profile_csv_rows
+    calls, seen = [], []
+
+    def counted_mc(*args, **kwargs):
+        calls.append(args)
+        return mc(*args, **kwargs)
+
+    def recorded_rows(rows):
+        seen.extend(rows)
+        return write(rows)
+
+    monkeypatch.setattr(complexity, "rademacher_R_mc", counted_mc)
+    monkeypatch.setattr(complexity, "profile_csv_rows", recorded_rows)
+    radii = (0.5, 1.0, 2.0, 3.0)
+    assert cli.main([
+        "diagnose", "rademacher-profile", "--instance", str(inst_path), "--m", "20",
+        "--reps", "200", "--seed", "4", "--radii", *map(str, radii),
+        "--out", str(tmp_path / "profile.csv"),
+    ]) == 0
+    assert len(calls) == 1
+    spec, _ = cli._ellipsoid_spec(inst, "bilinear-xa", radius=1.0)
+    assert [r for r, _ in seen] == list(radii)
+    for r, est in seen:
+        direct = mc(inst, spec.with_radius(r), m=20, reps=200, seed=4)
+        assert est.value == pytest.approx(direct.value, rel=1e-12)
+        assert est.stderr == pytest.approx(direct.stderr, rel=1e-12)
+        assert est.reps == direct.reps
+
+
 def test_finite_custom_instance_by_path(tmp_path):
     inst = make_d1(0.5)
     inst_path = tmp_path / "d1.json"
