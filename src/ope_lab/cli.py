@@ -164,7 +164,12 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int)
     sim.add_argument("--reps", type=int)
     sim.add_argument("--out")
-    sim.add_argument("--threads", type=int)
+    sim.add_argument(
+        "--threads",
+        type=int,
+        help="worker processes for the replications (default 1: run in this "
+        "process); the results do not depend on it",
+    )
     sim.set_defaults(func=_simulate)
 
     est = sub.add_parser("estimate", help="run one estimator on a stored dataset")

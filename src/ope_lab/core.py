@@ -58,6 +58,9 @@ class PropensityError(ValueError):
         super().__init__(message)
         self.state = state
 
+    def __reduce__(self):
+        return type(self), (self.args[0], self.state)
+
 
 # ---------------------------------------------------------------------------
 # Domain types
@@ -141,6 +144,10 @@ class FiniteStates:
                 f"state probabilities sum to {probs.sum()}, not 1 within 1e-12"
             )
         object.__setattr__(self, "_keys", _SortedKeys(values))
+        # Generator.choice(size, p=probs) draws by this cdf; built once here
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        object.__setattr__(self, "_cdf", cdf)
 
 
 @dataclass(frozen=True)
@@ -488,12 +495,13 @@ def _draw_pairs(instance: ProblemInstance, n: int, rng: np.random.Generator):
 
     Returns (x, a, index): ``index`` is the pair (state indices, action
     indices) into the instance's tables, or None for an instance without
-    tables.  The generator is advanced by ``rng.choice`` (finite states) or
-    the state sampler, then by one ``rng.random(n)``.
+    tables.  The generator is advanced by one ``rng.random(n)`` searched in
+    the state cdf (the steps of ``rng.choice(size, p=probs)``, finite states)
+    or by the state sampler, then by one ``rng.random(n)``.
     """
     by_index = instance._table_keys is not None
     if isinstance(instance.states, FiniteStates):
-        si = rng.choice(instance.states.values.size, size=n, p=instance.states.probs)
+        si = instance.states._cdf.searchsorted(rng.random(n), side="right")
         x = instance.states.values[si]
     else:
         x = np.asarray(instance.states.sampler(rng, n), dtype=float)
@@ -501,26 +509,30 @@ def _draw_pairs(instance: ProblemInstance, n: int, rng: np.random.Generator):
         pmat = instance.propensity.table[si]
     else:
         pmat = np.asarray(instance.propensity(x), dtype=float)
-    joint = pmat * instance.actions.base_weights
-    nonneg = joint >= 0
-    if not nonneg.all():
-        bad = int(np.argwhere(~nonneg)[0][0])
+    weights = instance.actions.base_weights
+    # lambda(a) pi(x, a), one column per action
+    joint = [pmat[:, k] * weights[k] for k in range(weights.size)]
+    if not all(col.min() >= 0 for col in joint):
+        bad = int(np.argmin(np.logical_and.reduce([col >= 0 for col in joint])))
         raise PropensityError(
             f"negative action probability at sampled state {x[bad]}",
             state=float(x[bad]),
         )
-    rowsum = joint.sum(axis=1)
-    worst = int(np.argmax(np.abs(rowsum - 1.0)))
-    if not abs(rowsum[worst] - 1.0) <= NORMALIZATION_TOL:
+    # the action is the number of partial sums below u, except the last one;
+    # adding the columns in order gives np.cumsum's partial sums bit for bit
+    u = rng.random(n)
+    acc = joint[0]  # summed into in place; joint is not read again
+    ai = np.zeros(n, dtype=np.intp)
+    for col in joint[1:]:
+        ai += acc < u
+        acc += col
+    deviation = np.abs(acc - 1.0)
+    worst = int(np.argmax(deviation))
+    if not deviation[worst] <= NORMALIZATION_TOL:
         raise PropensityError(
-            f"propensity at sampled state {x[worst]} has mass {rowsum[worst]}",
+            f"propensity at sampled state {x[worst]} has mass {acc[worst]}",
             state=float(x[worst]),
         )
-    u = rng.random(n)
-    ai = np.minimum(
-        (np.cumsum(joint, axis=1) < u[:, None]).sum(axis=1),
-        instance.actions.n_actions - 1,
-    )
     a = instance.actions.labels[ai]
     return x, a, ((si, ai) if by_index else None)
 

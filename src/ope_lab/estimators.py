@@ -51,6 +51,9 @@ class FirstStageError(RuntimeError):
         super().__init__(message)
         self.fold = fold
 
+    def __reduce__(self):
+        return type(self), (self.args[0], self.fold)
+
 
 @dataclass(frozen=True)
 class EstimateReport:
@@ -154,10 +157,15 @@ def _observed(instance: ProblemInstance, data: Dataset):
     return index, _likelihood_ratio(instance, data.x, data.a, index)
 
 
-def _sample_variance(values: np.ndarray) -> float:
-    if values.size < 2:
-        return 0.0
-    return float(np.var(values, ddof=1))
+def _mean_and_variance(values: np.ndarray) -> tuple[float, float]:
+    """Mean and sample variance (0 for one value), bit for bit those of
+    ``np.mean`` and ``np.var(ddof=1)`` without their Python-level wrappers."""
+    n = values.size
+    mean = np.add.reduce(values) / n
+    if n < 2:
+        return float(mean), 0.0
+    dev = values - mean
+    return float(mean), float(np.add.reduce(dev * dev) / (n - 1))
 
 
 def _influence(instance: ProblemInstance, ratio, x, a, y, mu_fn, index=None) -> np.ndarray:
@@ -171,12 +179,13 @@ def _influence(instance: ProblemInstance, ratio, x, a, y, mu_fn, index=None) -> 
 
 def _report(estimator_id: str, data: Dataset, terms, cls=EstimateReport, **extra):
     """Mean and sample variance of the influence terms, as a report."""
+    tau_hat, variance = _mean_and_variance(terms)
     return cls(
         estimator_id=estimator_id,
         n=len(data),
         seed=data.seed,
-        tau_hat=float(np.mean(terms)),
-        plugin_variance=_sample_variance(terms),
+        tau_hat=tau_hat,
+        plugin_variance=variance,
         **extra,
     )
 
@@ -224,9 +233,9 @@ def asymptotic_variance_estimate(
 ) -> float:
     """Sample variance of the influence terms g/pi (y - muhat) + <g, muhat>."""
     index, ratio = _observed(instance, data)
-    return _sample_variance(
+    return _mean_and_variance(
         _influence(instance, ratio, data.x, data.a, data.y, mu_fn, index)
-    )
+    )[1]
 
 
 # ---------------------------------------------------------------------------

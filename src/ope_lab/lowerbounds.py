@@ -33,6 +33,9 @@ class SupportError(ValueError):
         super().__init__(message)
         self.atom = atom
 
+    def __reduce__(self):
+        return type(self), (self.args[0], self.atom)
+
 
 @dataclass(frozen=True)
 class FiniteDistribution:

@@ -27,6 +27,9 @@ class QuadratureError(RuntimeError):
         super().__init__(message)
         self.achieved_tol = achieved_tol
 
+    def __reduce__(self):
+        return type(self), (self.args[0], self.achieved_tol)
+
 
 def adaptive_simpson(
     fn: Callable[[np.ndarray], np.ndarray],

@@ -54,6 +54,9 @@ class SingularSystemError(RegressionError):
         super().__init__(message)
         self.condition = condition
 
+    def __reduce__(self):
+        return type(self), (self.args[0], self.condition)
+
 
 # ---------------------------------------------------------------------------
 # Feature maps

@@ -8,9 +8,12 @@ propensity shapes are provided: "pi1" dips to pi_min at x = 1/2 where the
 tent peaks (hard), "pi2" dips at x = 1 where the tent vanishes (easy).
 
 ``run_experiment`` runs a (estimator x sample size) grid of seeded Monte
-Carlo cells and reports the n-rescaled mean squared error per cell.  Results
-are byte-deterministic for a fixed master seed regardless of the thread
-budget: replication r of a cell always uses the substream addressed by
+Carlo cells and reports the n-rescaled mean squared error per cell.  With
+``threads > 1`` the replications run in that many forked worker processes,
+which rebuild the instance from its JSON description once each and take
+each cell's replications in a few contiguous chunks.  Results are
+byte-deterministic for a fixed master seed regardless of the worker count:
+replication r of a cell always uses the substream addressed by
 (master_seed, estimator, n, r), and cells reduce over replications in index
 order.
 """
@@ -20,7 +23,8 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
-from concurrent.futures import ThreadPoolExecutor
+from concurrent import futures
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401  (patched by benchmarks/tracing.py)
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -35,6 +39,8 @@ PI_MIN_DEFAULT = 0.005
 SIGMA0_DEFAULT = 1.0
 ESTIMATOR_IDS = ("ipw", "oracle", "two-stage-weighted-krr", "two-stage-unweighted-krr")
 RESULTS_HEADER = "instance_id,estimator,n,reps,normalized_mse,mc_stderr,master_seed"
+# each cell's replications go to the workers in this many chunks per worker
+CHUNKS_PER_WORKER = 4
 
 
 class CellError(RuntimeError):
@@ -44,6 +50,9 @@ class CellError(RuntimeError):
         super().__init__(message)
         self.estimator = estimator
         self.n = n
+
+    def __reduce__(self):
+        return type(self), (self.args[0], self.estimator, self.n)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +147,10 @@ def instance_from_json(doc: dict) -> ProblemInstance:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Grid of (estimator, sample size) Monte Carlo cells on one instance."""
+    """Grid of (estimator, sample size) Monte Carlo cells on one instance.
+
+    ``threads`` is the number of worker processes; 1 runs in the caller.
+    """
 
     instance: dict
     estimators: tuple = ("oracle",)
@@ -268,63 +280,135 @@ def _run_rep(
     return (report.tau_hat - tau_star) ** 2
 
 
+def _run_reps(instance, estimator, n, seeds, tau_star, spec) -> list:
+    """Squared errors of the replications with these seeds, in order."""
+    return [_run_rep(estimator, instance, n, seed, tau_star, spec) for seed in seeds]
+
+
+# the instance of a worker process, set by ``_start_worker`` in workers only
+_worker_instance: ProblemInstance | None = None
+
+
+def _start_worker(instance_doc: dict) -> None:
+    """Pool initializer: builtin instances hold closures that cannot be
+    pickled, so each worker rebuilds the instance from its JSON once."""
+    global _worker_instance
+    _worker_instance = instance_from_json(instance_doc)
+
+
+def _run_chunk(estimator, n, seeds, tau_star, spec) -> list:
+    """One task of a worker process: ``_run_reps`` on its own instance."""
+    return _run_reps(_worker_instance, estimator, n, seeds, tau_star, spec)
+
+
+@contextlib.contextmanager
+def _process_pool(config: ExperimentConfig):
+    """``config.threads`` forked workers, each holding the config's instance.
+
+    Fork, not spawn: a spawned worker imports numpy and scipy afresh, which
+    made a pool of two take 0.8 s to start against 0.02 s forked (2-core
+    machine).  Forking is unsafe while the caller runs other threads.
+    """
+    # imported on first use (``futures.ProcessPoolExecutor`` is lazy too):
+    # the process machinery adds 0.3 MB and 10 ms that runs in the caller
+    # need not pay
+    import multiprocessing
+
+    pool = futures.ProcessPoolExecutor(
+        max_workers=config.threads,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_start_worker,
+        initargs=(config.instance,),
+    )
+    try:
+        yield pool
+    finally:
+        # after a failed cell, the chunks still queued are not wanted
+        pool.shutdown(cancel_futures=True)
+
+
+def _chunks(seeds: list, parts: int) -> list:
+    """``seeds`` cut into at most ``parts`` contiguous non-empty runs."""
+    parts = min(parts, len(seeds))
+    bounds = [len(seeds) * i // parts for i in range(parts + 1)]
+    return [seeds[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _gather(futures) -> list:
+    """A cell's squared errors: its chunks' results, in chunk order."""
+    return [sq for future in futures for sq in future.result()]
+
+
 def run_experiment(config: ExperimentConfig) -> ResultsTable:
     """Run every (estimator, n) cell of the config.
 
     normalized_mse is n times the Monte Carlo mean of the squared error;
     mc_stderr is n times the standard deviation of the squared errors over
     sqrt(reps) (zero for a single replication).  A failed cell aborts the
-    run, naming the cell.
+    run, naming the cell; with several failed cells, the first in config
+    order is named.
     """
     instance = instance_from_json(config.instance)
     tau_star = core.true_functional(instance)
+    cells = [
+        (
+            estimator,
+            n,
+            [mix_seed(config.master_seed, estimator, n, rep) for rep in range(config.reps)],
+            _first_stage_spec(estimator, config) if estimator.startswith("two-stage") else None,
+        )
+        for estimator in config.estimators
+        for n in config.n_grid
+    ]
     table = ResultsTable()
-    # one pool serves every cell; a single thread maps in the caller
+    # one pool serves every cell; a single worker runs in the caller
     with (
-        ThreadPoolExecutor(max_workers=config.threads)
-        if config.threads > 1
-        else contextlib.nullcontext()
+        _process_pool(config) if config.threads > 1 else contextlib.nullcontext()
     ) as pool:
-        run_map = map if pool is None else pool.map
-        for estimator in config.estimators:
-            spec = (
-                _first_stage_spec(estimator, config)
-                if estimator.startswith("two-stage")
-                else None
+        # pending[i]() returns cell i's squared errors in replication order
+        if pool is None:
+            pending = [
+                functools.partial(_run_reps, instance, estimator, n, seeds, tau_star, spec)
+                for estimator, n, seeds, spec in cells
+            ]
+        else:
+            # every cell's chunks are queued before any result is awaited
+            pending = [
+                functools.partial(
+                    _gather,
+                    [
+                        pool.submit(_run_chunk, estimator, n, chunk, tau_star, spec)
+                        for chunk in _chunks(seeds, CHUNKS_PER_WORKER * config.threads)
+                    ],
+                )
+                for estimator, n, seeds, spec in cells
+            ]
+        for (estimator, n, _, _), squared_errors in zip(cells, pending):
+            try:
+                sq = np.asarray(squared_errors())
+            except Exception as exc:
+                raise CellError(
+                    f"cell (estimator={estimator}, n={n}) failed: {exc}",
+                    estimator=estimator,
+                    n=n,
+                ) from exc
+            mse = float(n * np.mean(sq))
+            stderr = (
+                float(n * np.std(sq, ddof=1) / np.sqrt(config.reps))
+                if config.reps > 1
+                else 0.0
             )
-            for n in config.n_grid:
-                seeds = [
-                    mix_seed(config.master_seed, estimator, n, rep)
-                    for rep in range(config.reps)
-                ]
-                run = functools.partial(
-                    _run_rep, estimator, instance, n, tau_star=tau_star, spec=spec
+            table.rows.append(
+                ResultRow(
+                    instance_id=instance.instance_id,
+                    estimator=estimator,
+                    n=n,
+                    reps=config.reps,
+                    normalized_mse=mse,
+                    mc_stderr=stderr,
+                    master_seed=config.master_seed,
                 )
-                try:
-                    sq = np.asarray(list(run_map(run, seeds)))
-                except Exception as exc:
-                    raise CellError(
-                        f"cell (estimator={estimator}, n={n}) failed: {exc}",
-                        estimator=estimator,
-                        n=n,
-                    ) from exc
-                mse = float(n * np.mean(sq))
-                stderr = (
-                    float(n * np.std(sq, ddof=1) / np.sqrt(config.reps))
-                    if config.reps > 1
-                    else 0.0
-                )
-                table.rows.append(
-                    ResultRow(
-                        instance_id=instance.instance_id,
-                        estimator=estimator,
-                        n=n,
-                        reps=config.reps,
-                        normalized_mse=mse,
-                        mc_stderr=stderr,
-                        master_seed=config.master_seed,
-                    )
-                )
+            )
     return table
 
 

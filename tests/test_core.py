@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ope_lab as ol
-from ope_lab import simlab
+from ope_lab import core, simlab
 from ope_lab.core import (
     dataset_to_csv,
     finite_instance_from_json,
@@ -15,6 +15,7 @@ from ope_lab.core import (
     write_dataset_csv,
 )
 from ope_lab.quadrature import QuadratureError, adaptive_simpson
+from ope_lab.rng import make_generator
 
 from conftest import instance_from_random_tables, make_d1, random_finite_tables
 from oracles import (
@@ -151,6 +152,32 @@ def test_instance_checks_reject_nan_from_callables():
         dataclasses.replace(base, outcome_sd=lambda x, a: np.full(np.shape(x), np.nan))
 
 
+@pytest.mark.parametrize("fault", ["negative", "mass"])
+def test_sampling_names_the_offending_sampled_state(fault):
+    # the propensity passes the probe grid and fails off it above 1/2
+    base = simlab.build_builtin_instance("pi1")
+    grid = base.probe_states()
+
+    def propensity(x):
+        p = base.propensity(x)
+        off = ~np.isin(x, grid) & (x > 0.5)
+        if fault == "negative":
+            p[off, 1] = -p[off, 1]
+        else:
+            p[off] *= 1.0 + x[off, None]
+        return p
+
+    inst = dataclasses.replace(base, propensity=propensity)
+    x = make_generator(11).random(40)  # the uniform state draw of seed 11
+    with pytest.raises(ol.PropensityError) as err:
+        ol.sample_dataset(inst, 40, seed=11)
+    # the first offending row (row 7), or the row with the largest mass error
+    want = x[np.argmax(x > 0.5)] if fault == "negative" else x.max()
+    message = "negative action probability" if fault == "negative" else "has mass"
+    assert err.value.state == want
+    assert f"at sampled state {want}" in str(err.value) and message in str(err.value)
+
+
 def test_normalization_holds_on_probe_grid(d1):
     probe = d1.probe_states()
     mass = d1.propensity(probe) @ d1.actions.base_weights
@@ -215,6 +242,18 @@ def test_sample_dataset_draw_is_pinned():
         "0x1.32a2d14b8f9acp+1", "0x1.96a028f04d3fep+0", "0x1.245371490cff0p+0",
         "-0x1.0f21d3b3764b9p+0",
     ]
+
+
+def test_pair_draw_is_rng_choice_then_a_cumulative_sum():
+    # five states, four actions with unequal base weights
+    inst = instance_from_random_tables(random_finite_tables(np.random.default_rng(3), 5, 4))
+    _, _, (si, ai) = core._draw_pairs(inst, 4000, make_generator(11))
+    rng = make_generator(11)
+    si_want = rng.choice(5, size=4000, p=inst.states.probs)
+    joint = inst.propensity.table[si_want] * inst.actions.base_weights
+    ai_want = np.minimum((np.cumsum(joint, axis=1) < rng.random(4000)[:, None]).sum(axis=1), 3)
+    assert np.array_equal(si, si_want) and np.array_equal(ai, ai_want)
+    assert set(ai.tolist()) == {0, 1, 2, 3}
 
 
 def test_table_index_follows_the_given_state_and_action_order():

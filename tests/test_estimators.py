@@ -87,6 +87,15 @@ def test_estimate_report_rejects_non_finite(tau_hat, plugin_variance):
         ol.EstimateReport("ipw", 10, 0, tau_hat, plugin_variance)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 16, 129, 1000, 8000])
+def test_mean_and_variance_are_numpys_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for values in (rng.standard_normal(n), 1e6 + rng.standard_cauchy(n)):
+        mean, variance = estimators._mean_and_variance(values)
+        assert mean == float(np.mean(values))
+        assert variance == (float(np.var(values, ddof=1)) if n > 1 else 0.0)
+
+
 # ---------------------------------------------------------------------------
 # generic estimator
 # ---------------------------------------------------------------------------

@@ -1,11 +1,17 @@
+import concurrent.futures
 import json
+import pickle
 
 import numpy as np
 import pytest
 
 import ope_lab as ol
 from ope_lab import cli, complexity, simlab
-from ope_lab.core import save_instance, write_dataset_csv
+from ope_lab.core import PropensityError, save_instance, write_dataset_csv
+from ope_lab.estimators import FirstStageError
+from ope_lab.lowerbounds import SupportError
+from ope_lab.quadrature import QuadratureError
+from ope_lab.regression import SingularSystemError
 from ope_lab.simlab import (
     CellError,
     ExperimentConfig,
@@ -125,12 +131,12 @@ def test_thread_budget_leaves_bytes_unchanged():
 def test_run_experiment_opens_one_pool(monkeypatch):
     pools = []
 
-    class CountingPool(simlab.ThreadPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(1)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(simlab, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     config = ExperimentConfig(
         instance=builtin_doc(sigma0=0.3),
         estimators=("ipw", "oracle"),
@@ -156,6 +162,77 @@ def test_failed_cell_names_itself():
         run_experiment(config)
     assert err.value.estimator == "two-stage-weighted-krr"
     assert err.value.n == 8
+
+
+@pytest.mark.parametrize("kind, reps", [("finite", 7), ("finite-custom", 7), ("finite", 29)])
+def test_worker_count_leaves_bytes_unchanged(tmp_path, kind, reps):
+    # replications split unevenly over 2 and 3 workers; at 29 the chunks
+    # hold several replications each
+    inst = make_d1(0.5)
+    inst_path = tmp_path / "d1.json"
+    save_instance(inst, inst_path)
+    doc = (
+        json.loads(inst_path.read_text())
+        if kind == "finite"
+        else {"kind": "finite-custom", "path": str(inst_path)}
+    )
+    base = ExperimentConfig(
+        instance=doc,
+        estimators=("ipw", "oracle", "two-stage-unweighted-krr"),
+        n_grid=(30, 60),
+        reps=reps,
+        folds=3,
+        lambda_grid=(0.1, 1.0, 10.0),
+        master_seed=5,
+    )
+    tables = [run_experiment(base.with_overrides(threads=t)) for t in (1, 2, 3)]
+    assert len(tables[0].rows) == 6
+    # the bytes of the CSV, and the floats behind its ten printed digits
+    assert tables[1].to_csv() == tables[0].to_csv() and tables[2].to_csv() == tables[0].to_csv()
+    assert tables[1].rows == tables[0].rows and tables[2].rows == tables[0].rows
+
+
+def test_failed_replication_in_a_worker_names_its_cell(monkeypatch):
+    def broken_fit(*args, **kwargs):
+        raise RuntimeError("no fit today")
+
+    # the forked workers inherit the patched first stage
+    monkeypatch.setattr(simlab.estimators, "_fit_first_stage", broken_fit)
+    config = ExperimentConfig(
+        instance=builtin_doc(sigma0=0.1),
+        estimators=("oracle", "two-stage-weighted-krr"),
+        n_grid=(20, 40),
+        reps=3,
+        master_seed=1,
+        threads=2,
+    )
+    with pytest.raises(CellError) as err:
+        run_experiment(config)
+    assert (err.value.estimator, err.value.n) == ("two-stage-weighted-krr", 20)
+    message = str(err.value)
+    assert "cell (estimator=two-stage-weighted-krr, n=20) failed" in message
+    assert "first-stage fit failed on half 1: no fit today" in message
+    assert isinstance(err.value.__cause__, FirstStageError)
+    assert err.value.__cause__.fold == 1
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        PropensityError("negative action probability at sampled state 0.5", state=0.5),
+        FirstStageError("first-stage fit failed on half 2: singular", fold=2),
+        QuadratureError("subdivision budget exhausted", achieved_tol=1e-3),
+        SupportError("support violation at atom (0, 1)", atom=(0.0, 1.0)),
+        SingularSystemError("ill-conditioned system", condition=1e17),
+        CellError("cell (estimator=ipw, n=10) failed: boom", estimator="ipw", n=10),
+    ],
+    ids=lambda error: type(error).__name__,
+)
+def test_errors_survive_pickling(error):
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error)
+    assert str(back) == str(error)
+    assert vars(back) == vars(error)
 
 
 def test_config_validation():
