@@ -64,12 +64,16 @@ def _estimate(args) -> int:
 def _ellipsoid_spec(instance, feature_map_id, radius):
     feature_map = regression.resolve_feature_map(feature_map_id)
     sigma, gamma = complexity.moment_matrices(instance, feature_map)
-    spec = complexity.LocalizedClassSpec(
-        class_id="linear-ellipsoid",
-        radius=radius,
-        feature_map=feature_map,
-        sigma_matrix=sigma,
-    )
+    try:
+        spec = complexity.LocalizedClassSpec(
+            class_id="linear-ellipsoid",
+            radius=radius,
+            feature_map=feature_map,
+            sigma_matrix=sigma,
+        )
+    except ValueError as exc:
+        # e.g. a weight that zeroes an arm collapses features that differ only there
+        raise ValueError(f"feature map {feature_map_id!r} on this instance: {exc}") from exc
     return spec, gamma
 
 

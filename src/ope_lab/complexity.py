@@ -22,21 +22,20 @@ has a closed form:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
 
 from .core import (
-    FiniteStates,
     ProblemInstance,
     _draw_pairs,
     _likelihood_ratio,
     _pair_values,
     weighted_norm,
 )
-from .quadrature import adaptive_simpson
+from .quadrature import adaptive_simpson  # noqa: F401  (patched by benchmarks/tracing.py)
 from .rng import make_generator, mix_seed, substream
 
 DEFAULT_REPS = 10_000
@@ -59,9 +58,7 @@ class LocalizedClassSpec:
     ignores it (an unlocalized upper bound).  For the linear ellipsoid,
     ``sigma_matrix`` must be the second-moment matrix of
     (g/pi) phi so that the ellipsoid equals the weighted-norm ball of the
-    linear span.  ``center`` (optional) is the recentering function whose
-    difference from the true outcome drives the squared multiplier
-    complexity.
+    linear span.
     """
 
     class_id: str
@@ -69,7 +66,6 @@ class LocalizedClassSpec:
     feature_map: Callable | None = None
     sigma_matrix: np.ndarray | None = None
     l1_radius: float | None = None
-    center: Callable | None = None
 
     def __post_init__(self):
         if self.class_id not in ("linear-ellipsoid", "l1-ball", "singleton-zero"):
@@ -82,22 +78,19 @@ class LocalizedClassSpec:
             sig = np.asarray(self.sigma_matrix, dtype=float)
             if not np.allclose(sig, sig.T, atol=1e-10):
                 raise ValueError("sigma_matrix must be symmetric")
-            if np.min(scipy.linalg.eigvalsh(sig)) <= 0:
-                raise ValueError("sigma_matrix must be positive definite")
+            smallest = float(np.min(scipy.linalg.eigvalsh(sig)))
+            if smallest <= 0:
+                raise ValueError(
+                    f"sigma_matrix must be positive definite; its smallest "
+                    f"eigenvalue is {smallest:.3g}"
+                )
             object.__setattr__(self, "sigma_matrix", sig)
         if self.class_id == "l1-ball":
             if self.feature_map is None or self.l1_radius is None:
                 raise ValueError("l1-ball needs feature_map and l1_radius")
 
     def with_radius(self, radius: float) -> "LocalizedClassSpec":
-        return LocalizedClassSpec(
-            class_id=self.class_id,
-            radius=radius,
-            feature_map=self.feature_map,
-            sigma_matrix=self.sigma_matrix,
-            l1_radius=self.l1_radius,
-            center=self.center,
-        )
+        return replace(self, radius=radius)
 
 
 def moment_matrices(instance: ProblemInstance, feature_map) -> tuple[np.ndarray, np.ndarray]:
@@ -105,54 +98,27 @@ def moment_matrices(instance: ProblemInstance, feature_map) -> tuple[np.ndarray,
 
     Returns (Sigma, Gamma_sigma) with
     Sigma = E[(g/pi)^2 phi phi'] and Gamma_sigma = E[(g/pi)^4 sigma^2 phi phi'],
-    both over the joint (state, action) law, computed by enumeration for
-    finite states and quadrature otherwise.
+    both over the joint (state, action) law.  They are one state expectation
+    of a per-state (2, d, d) array summed over the actions: one enumeration
+    for finite states, one quadrature mesh for all entries otherwise.
     """
     labels = instance.actions.labels
     lam = instance.actions.base_weights
 
-    def rows(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+    def moments(x):
+        x = np.asarray(x, dtype=float)
         pmat = np.asarray(instance.propensity(x), dtype=float)
-        out_s = None
-        out_g = None
-        for k, a in enumerate(labels):
-            av = np.full(x.shape, a)
-            phi = np.asarray(feature_map(x, av), dtype=float)
-            if phi.ndim == 1:
-                phi = phi[:, None]
-            gv = np.asarray(instance.weight_fn(x, av), dtype=float) * np.ones(x.size)
-            sd = np.asarray(instance.outcome_sd(x, av), dtype=float) * np.ones(x.size)
-            ratio = gv / pmat[:, k]
-            # joint density of the (x, a) pair is lam * pi
-            wt = lam[k] * pmat[:, k]
-            outer = phi[:, :, None] * phi[:, None, :]
-            s_term = (wt * ratio**2)[:, None, None] * outer
-            g_term = (wt * ratio**4 * sd**2)[:, None, None] * outer
-            out_s = s_term if out_s is None else out_s + s_term
-            out_g = g_term if out_g is None else out_g + g_term
-        return out_s, out_g
+        ratio = instance._pair_grid(instance.weight_fn, x) / pmat
+        sd = instance._pair_grid(instance.outcome_sd, x)
+        # joint density of the (x, a) pair is lam * pi
+        wt = lam * pmat
+        weights = np.stack([wt * ratio**2, wt * ratio**4 * sd**2], axis=1)
+        phi = _features_at(feature_map, np.repeat(x, labels.size), np.tile(labels, x.size))
+        phi = phi.reshape(x.size, labels.size, -1)
+        outer = phi[..., :, None] * phi[..., None, :]
+        return np.einsum("mck,mkij->mcij", weights, outer)
 
-    if isinstance(instance.states, FiniteStates):
-        s_terms, g_terms = rows(instance.states.values)
-        p = instance.states.probs
-        sigma = np.tensordot(p, s_terms, axes=(0, 0))
-        gamma = np.tensordot(p, g_terms, axes=(0, 0))
-        return sigma, gamma
-
-    probe = feature_map(np.zeros(1), np.full(1, labels[0]))
-    d = 1 if np.asarray(probe).ndim == 1 else np.asarray(probe).shape[-1]
-    dens = instance.states.density
-    sigma = np.empty((d, d))
-    gamma = np.empty((d, d))
-    for i in range(d):
-        for j in range(i + 1):
-            sigma[i, j] = sigma[j, i] = adaptive_simpson(
-                lambda x: dens(x) * rows(x)[0][:, i, j], 0.0, 1.0
-            )
-            gamma[i, j] = gamma[j, i] = adaptive_simpson(
-                lambda x: dens(x) * rows(x)[1][:, i, j], 0.0, 1.0
-            )
+    sigma, gamma = instance.state_expectation(moments)
     return sigma, gamma
 
 
@@ -178,8 +144,15 @@ def _prepare(spec: LocalizedClassSpec):
     return chol
 
 
-def _features_at(spec: LocalizedClassSpec, x, a) -> np.ndarray:
-    phi = np.asarray(spec.feature_map(x, a), dtype=float)
+def _require_samples(**counts) -> None:
+    """Reject an empty Monte Carlo sample, naming the count that is empty."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+
+
+def _features_at(feature_map, x, a) -> np.ndarray:
+    phi = np.asarray(feature_map(x, a), dtype=float)
     if phi.ndim == 1:
         phi = phi[:, None]
     return phi
@@ -196,11 +169,12 @@ def rademacher_S_mc(
     """Squared-form localized complexity with a per-sample multiplier.
 
     Each replication draws m pairs, the multiplier values (outcome noise
-    Y - mu by default, or a custom function h(x, a), typically the difference
-    mu - center), and Rademacher signs; the supremum of the weighted score is
+    Y - mu by default, or a custom function h(x, a), typically mu minus a
+    first-stage fit), and Rademacher signs; the supremum of the weighted score is
     computed in closed form.  Returns the root of the mean squared supremum
     with a delta-method standard error.
     """
+    _require_samples(m=m, reps=reps)
     if spec.class_id == "singleton-zero":
         return ComplexityEstimate(0.0, 0.0, reps)
     chol = _prepare(spec)
@@ -217,7 +191,7 @@ def rademacher_S_mc(
         else:
             mult = np.asarray(multiplier(x, a), dtype=float) * np.ones(m)
         eps = rng.integers(0, 2, size=m) * 2.0 - 1.0
-        phi = _features_at(spec, x, a)
+        phi = _features_at(spec.feature_map, x, a)
         score = (eps * ratio2 * mult) @ phi / m
         sups_sq[r] = _score_sup(spec, score, chol) ** 2
     mean_sq = float(np.mean(sups_sq))
@@ -235,6 +209,7 @@ def rademacher_R_mc(
     seed: int = 0,
 ) -> ComplexityEstimate:
     """Plain localized complexity with the g/pi weighting and no multiplier."""
+    _require_samples(m=m, reps=reps)
     if spec.class_id == "singleton-zero":
         return ComplexityEstimate(0.0, 0.0, reps)
     chol = _prepare(spec)
@@ -244,7 +219,7 @@ def rademacher_R_mc(
         x, a, index = _draw_pairs(instance, m, rng)
         ratio = _likelihood_ratio(instance, x, a, index)
         eps = rng.integers(0, 2, size=m) * 2.0 - 1.0
-        phi = _features_at(spec, x, a)
+        phi = _features_at(spec.feature_map, x, a)
         score = (eps * ratio) @ phi / m
         sups[r] = _score_sup(spec, score, chol)
     value = float(np.mean(sups))
@@ -345,7 +320,9 @@ def small_ball_estimate(
     reps: int = DEFAULT_REPS,
     seed: int = 0,
 ) -> ComplexityEstimate:
-    """MC estimate of P[ |g h / pi|(X, A) >= alpha1 * ||h||_w ]."""
+    """MC estimate of P[ |g h / pi|(X, A) >= alpha1 * ||h||_w ] from ``reps``
+    draws."""
+    _require_samples(reps=reps)
     h_norm = weighted_norm(instance, h)
     if h_norm == 0.0:
         raise ValueError("small-ball probability undefined for ||h||_w = 0")
@@ -370,8 +347,7 @@ def small_ball_estimate(
 class ShatteringCertificate:
     """Points, thresholds and a witness map certifying shattering at a scale.
 
-    In equality mode the witness must hit threshold +/- scale exactly (within
-    ``VERIFY_TOL``); in inequality mode it must clear the margins.
+    The witness must hit threshold +/- scale exactly (within ``VERIFY_TOL``).
     ``witness(pattern)`` maps a +/-1 pattern to parameters; ``evaluate``
     computes the witness function at every stored point.
     """
@@ -379,7 +355,6 @@ class ShatteringCertificate:
     points: np.ndarray
     thresholds: np.ndarray
     scale: float
-    mode: str
     witness: Callable[[np.ndarray], np.ndarray]
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     meta: dict = field(default_factory=dict)
@@ -404,12 +379,8 @@ class ShatteringCertificate:
             params = self.witness(zeta)
             values = np.asarray(self.evaluate(params, self.points), dtype=float)
             target = self.thresholds + zeta * self.scale
-            if self.mode == "equality":
-                if np.max(np.abs(values - target)) > tol:
-                    return False
-            else:
-                if np.min(zeta * (values - self.thresholds)) < self.scale - tol:
-                    return False
+            if np.max(np.abs(values - target)) > tol:
+                return False
         return True
 
     def to_csv(self) -> str:
@@ -466,7 +437,6 @@ def hadamard_glm_shatter(
         points=points,
         thresholds=np.zeros(p),
         scale=target,
-        mode="equality",
         witness=witness,
         evaluate=evaluate,
         meta={"family": "hadamard-glm", "p": p, "link": link.name,
@@ -523,7 +493,6 @@ def sparse_packing_shatter(p: int, s: int) -> ShatteringCertificate:
         points=points,
         thresholds=np.full(k * s, 0.5),
         scale=0.5,
-        mode="equality",
         witness=witness,
         evaluate=evaluate,
         meta={"family": "sparse-packing", "p": p, "s": s, "k": k},

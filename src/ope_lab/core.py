@@ -296,14 +296,18 @@ class ProblemInstance:
         vals = self._pair_grid(fn, x)
         return (pmat * vals) @ self.actions.base_weights
 
-    def state_expectation(self, fn, tol: float = DEFAULT_TOL) -> float:
-        """E_X[fn(X)] for a vectorized state function."""
+    def state_expectation(self, fn, tol: float = DEFAULT_TOL) -> float | np.ndarray:
+        """E_X[fn(X)] for a vectorized state function: a float when ``fn``
+        maps m states to m values, an array of shape (...) when it returns
+        shape (m, ...), with every component on one quadrature mesh."""
         if isinstance(self.states, FiniteStates):
             vals = np.asarray(fn(self.states.values), dtype=float)
-            return float(np.dot(self.states.probs, vals))
+            value = np.tensordot(self.states.probs, vals, axes=1)
+            return float(value) if value.ndim == 0 else value
         dens = self.states.density
+        # the density scales axis 0, the states' axis
         return adaptive_simpson(
-            lambda x: dens(x) * np.asarray(fn(x), dtype=float), 0.0, 1.0, tol=tol
+            lambda x: (dens(x) * np.asarray(fn(x), dtype=float).T).T, 0.0, 1.0, tol=tol
         )
 
     # -- construction from tables -------------------------------------------

@@ -10,8 +10,9 @@ tent peaks (hard), "pi2" dips at x = 1 where the tent vanishes (easy).
 ``run_experiment`` runs a (estimator x sample size) grid of seeded Monte
 Carlo cells and reports the n-rescaled mean squared error per cell.  With
 ``threads > 1`` the replications run in that many forked worker processes,
-which rebuild the instance from its JSON description once each and take
-each cell's replications in a few contiguous chunks.  Results are
+which inherit the caller's instance at fork.  The contiguous chunks of
+every cell's seeds form one task list in config order, and results are
+read back in that order.  Results are
 byte-deterministic for a fixed master seed regardless of the worker count:
 replication r of a cell always uses the substream addressed by
 (master_seed, estimator, n, r), and cells reduce over replications in index
@@ -280,8 +281,10 @@ def _run_rep(
     return (report.tau_hat - tau_star) ** 2
 
 
-def _run_reps(instance, estimator, n, seeds, tau_star, spec) -> list:
-    """Squared errors of the replications with these seeds, in order."""
+def _run_reps(instance, task) -> list:
+    """Squared errors of one task's replications, in seed order; a task is
+    (estimator, n, seeds, tau_star, first-stage spec)."""
+    estimator, n, seeds, tau_star, spec = task
     return [_run_rep(estimator, instance, n, seed, tau_star, spec) for seed in seeds]
 
 
@@ -289,25 +292,27 @@ def _run_reps(instance, estimator, n, seeds, tau_star, spec) -> list:
 _worker_instance: ProblemInstance | None = None
 
 
-def _start_worker(instance_doc: dict) -> None:
-    """Pool initializer: builtin instances hold closures that cannot be
-    pickled, so each worker rebuilds the instance from its JSON once."""
+def _start_worker(instance: ProblemInstance) -> None:
+    """Pool initializer: a forked worker inherits the caller's instance
+    without pickling it (builtin instances hold closures), so it is only
+    stored."""
     global _worker_instance
-    _worker_instance = instance_from_json(instance_doc)
+    _worker_instance = instance
 
 
-def _run_chunk(estimator, n, seeds, tau_star, spec) -> list:
+def _run_chunk(task) -> list:
     """One task of a worker process: ``_run_reps`` on its own instance."""
-    return _run_reps(_worker_instance, estimator, n, seeds, tau_star, spec)
+    return _run_reps(_worker_instance, task)
 
 
 @contextlib.contextmanager
-def _process_pool(config: ExperimentConfig):
-    """``config.threads`` forked workers, each holding the config's instance.
+def _process_pool(instance: ProblemInstance, workers: int):
+    """``workers`` forked processes, each holding ``instance``.
 
     Fork, not spawn: a spawned worker imports numpy and scipy afresh, which
     made a pool of two take 0.8 s to start against 0.02 s forked (2-core
-    machine).  Forking is unsafe while the caller runs other threads.
+    machine), and it would need the instance pickled.  Forking is unsafe
+    while the caller runs other threads.
     """
     # imported on first use (``futures.ProcessPoolExecutor`` is lazy too):
     # the process machinery adds 0.3 MB and 10 ms that runs in the caller
@@ -315,10 +320,10 @@ def _process_pool(config: ExperimentConfig):
     import multiprocessing
 
     pool = futures.ProcessPoolExecutor(
-        max_workers=config.threads,
+        max_workers=workers,
         mp_context=multiprocessing.get_context("fork"),
         initializer=_start_worker,
-        initargs=(config.instance,),
+        initargs=(instance,),
     )
     try:
         yield pool
@@ -332,11 +337,6 @@ def _chunks(seeds: list, parts: int) -> list:
     parts = min(parts, len(seeds))
     bounds = [len(seeds) * i // parts for i in range(parts + 1)]
     return [seeds[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-
-
-def _gather(futures) -> list:
-    """A cell's squared errors: its chunks' results, in chunk order."""
-    return [sq for future in futures for sq in future.result()]
 
 
 def run_experiment(config: ExperimentConfig) -> ResultsTable:
@@ -354,38 +354,35 @@ def run_experiment(config: ExperimentConfig) -> ResultsTable:
         (
             estimator,
             n,
-            [mix_seed(config.master_seed, estimator, n, rep) for rep in range(config.reps)],
+            _chunks(
+                [mix_seed(config.master_seed, estimator, n, rep) for rep in range(config.reps)],
+                CHUNKS_PER_WORKER * config.threads,
+            ),
             _first_stage_spec(estimator, config) if estimator.startswith("two-stage") else None,
         )
         for estimator in config.estimators
         for n in config.n_grid
     ]
+    tasks = [
+        (estimator, n, chunk, tau_star, spec)
+        for estimator, n, chunks, spec in cells
+        for chunk in chunks
+    ]
     table = ResultsTable()
     # one pool serves every cell; a single worker runs in the caller
     with (
-        _process_pool(config) if config.threads > 1 else contextlib.nullcontext()
+        _process_pool(instance, config.threads) if config.threads > 1 else contextlib.nullcontext()
     ) as pool:
-        # pending[i]() returns cell i's squared errors in replication order
-        if pool is None:
-            pending = [
-                functools.partial(_run_reps, instance, estimator, n, seeds, tau_star, spec)
-                for estimator, n, seeds, spec in cells
-            ]
-        else:
-            # every cell's chunks are queued before any result is awaited
-            pending = [
-                functools.partial(
-                    _gather,
-                    [
-                        pool.submit(_run_chunk, estimator, n, chunk, tau_star, spec)
-                        for chunk in _chunks(seeds, CHUNKS_PER_WORKER * config.threads)
-                    ],
-                )
-                for estimator, n, seeds, spec in cells
-            ]
-        for (estimator, n, _, _), squared_errors in zip(cells, pending):
+        # the chunks' results in task order; ``pool.map`` queues every chunk
+        # at once and cancels those still queued when one raises
+        results = (
+            map(functools.partial(_run_reps, instance), tasks)
+            if pool is None
+            else pool.map(_run_chunk, tasks)
+        )
+        for estimator, n, chunks, _ in cells:
             try:
-                sq = np.asarray(squared_errors())
+                sq = np.asarray([v for _ in chunks for v in next(results)])
             except Exception as exc:
                 raise CellError(
                     f"cell (estimator={estimator}, n={n}) failed: {exc}",

@@ -2,8 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 import ope_lab as ol
+from ope_lab import simlab
 from ope_lab.complexity import (
     IDENTITY_LINK,
     Link,
@@ -18,6 +20,7 @@ from ope_lab.complexity import (
     small_ball_estimate,
     sparse_packing_shatter,
 )
+from ope_lab.regression import resolve_feature_map
 
 from conftest import make_d1
 
@@ -70,6 +73,37 @@ def test_moment_matrices_match_enumeration():
     assert abs(gamma[0, 0] - gam_brute) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "features, phi",
+    [
+        ("state-linear", lambda x: (1.0, x)),
+        # g = a: only the a = 1 arm carries weight, where (1, x, a, xa) = (1, x, 1, x)
+        ("bilinear-xa", lambda x: (1.0, x, 1.0, x)),
+    ],
+)
+def test_moment_matrices_match_quad_on_the_hard_instance(features, phi):
+    sigma0, gamma_exp = 0.15, 0.5
+    inst = simlab.build_builtin_instance("pi1", gamma=gamma_exp, sigma0=sigma0)
+    sigma, gamma = moment_matrices(inst, resolve_feature_map(features))
+    pi1 = lambda x: 0.5 - (0.5 - 0.005) * np.sin(np.pi * x)
+
+    def quad(fn):
+        value, _ = integrate.quad(fn, 0.0, 1.0, points=[0.5], epsabs=1e-14, epsrel=1e-13, limit=400)
+        return value
+
+    # Sigma = E[phi phi' / pi], Gamma = E[sd^2 phi phi' / pi^3] with sd = sigma0 pi^(gamma/2)
+    d = len(phi(0.0))
+    assert sigma.shape == gamma.shape == (d, d)
+    for i in range(d):
+        for j in range(d):
+            want_s = quad(lambda x: phi(x)[i] * phi(x)[j] / pi1(x))
+            want_g = quad(
+                lambda x: sigma0**2 * pi1(x) ** gamma_exp * phi(x)[i] * phi(x)[j] / pi1(x) ** 3
+            )
+            assert sigma[i, j] == pytest.approx(want_s, rel=1e-9)
+            assert gamma[i, j] == pytest.approx(want_g, rel=1e-9)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         LocalizedClassSpec(class_id="mystery", radius=1.0)
@@ -81,6 +115,16 @@ def test_spec_validation():
             radius=1.0,
             feature_map=scalar_feature,
             sigma_matrix=np.array([[-1.0]]),
+        )
+
+
+def test_singular_sigma_names_its_smallest_eigenvalue():
+    with pytest.raises(ValueError, match=r"positive definite; its smallest eigenvalue is 0\b"):
+        LocalizedClassSpec(
+            class_id="linear-ellipsoid",
+            radius=1.0,
+            feature_map=scalar_feature,
+            sigma_matrix=np.array([[1.0, 1.0], [1.0, 1.0]]),
         )
 
 
@@ -338,6 +382,33 @@ def test_small_ball_matches_enumeration():
     assert abs(est.value - exact) < 3 * est.stderr
 
 
+@pytest.mark.parametrize(
+    "estimate, counts",
+    [
+        (lambda inst, spec, m, reps: rademacher_S_mc(inst, spec, m=m, reps=reps), ("m", "reps")),
+        (lambda inst, spec, m, reps: rademacher_R_mc(inst, spec, m=m, reps=reps), ("m", "reps")),
+        (
+            lambda inst, spec, m, reps: critical_radius(inst, spec, m=m, kind="s", reps=reps),
+            ("m", "reps"),
+        ),
+        (
+            lambda inst, spec, m, reps: small_ball_estimate(
+                inst, lambda x, a: np.ones(np.broadcast(x, a).shape), alpha1=0.5, reps=reps
+            ),
+            ("reps",),
+        ),
+    ],
+    ids=["rademacher_S_mc", "rademacher_R_mc", "critical_radius", "small_ball_estimate"],
+)
+def test_monte_carlo_rejects_an_empty_sample(estimate, counts):
+    inst = make_d1(1.0)
+    spec = ellipsoid_spec(inst)
+    for name in counts:
+        args = {"m": 20, "reps": 10, name: 0}
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1, got 0$"):
+            estimate(inst, spec, **args)
+
+
 def test_small_ball_rejects_null_function():
     inst = make_d1(1.0)
     zero = lambda x, a: np.zeros(np.broadcast(x, a).shape)
@@ -427,7 +498,6 @@ def test_verification_catches_corruption():
         points=cert.points,
         thresholds=cert.thresholds + 0.25,
         scale=cert.scale,
-        mode=cert.mode,
         witness=cert.witness,
         evaluate=cert.evaluate,
     )

@@ -45,6 +45,22 @@ def test_simpson_kinked_integrand():
     assert abs(adaptive_simpson(lambda x: tent(x) ** 2) - 1.0 / 12.0) < 1e-9
 
 
+def test_simpson_array_integrand_matches_scalar_calls():
+    parts = (
+        lambda x: np.sin(10.0 * x),
+        lambda x: np.abs(x - 0.3),
+        lambda x: 1.0 / (0.01 + (x - 0.5) ** 2),
+    )
+    tol = 1e-8
+    # shape (m, 3, 1): every component on one mesh
+    joint = adaptive_simpson(lambda x: np.stack([f(x) for f in parts], axis=1)[:, :, None], tol=tol)
+    assert joint.shape == (3, 1)
+    for value, f in zip(joint[:, 0], parts):
+        scalar = adaptive_simpson(f, tol=tol)
+        assert type(scalar) is float
+        assert abs(value - scalar) <= tol
+
+
 def test_simpson_budget_error_carries_tolerance():
     # high-frequency integrand with a tiny budget
     with pytest.raises(QuadratureError) as err:
@@ -309,6 +325,32 @@ def test_zero_weight_gives_zero_functional():
 def test_tent_instance_functional():
     inst = simlab.build_builtin_instance("pi1", gamma=0.0)
     assert abs(ol.true_functional(inst) - 0.25) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "propensity, pinned",
+    [
+        (
+            "pi1",
+            ("0x1.0000000000000p-2", "0x1.03286166b2116p+2",
+             "0x1.7d01099b3bf06p-2", "0x1.596de8ca11bfcp-5"),
+        ),
+        (
+            "pi2",
+            ("0x1.0000000000000p-2", "0x1.03286166b2116p+2",
+             "0x1.c70a283951f80p+1", "0x1.596de8ca11bfcp-5"),
+        ),
+    ],
+)
+def test_builtin_functionals_are_pinned(propensity, pinned):
+    # the quadrature's bits: tau, the efficient variance, and the excess
+    # variance (value, gap) of one fixed first stage
+    inst = simlab.build_builtin_instance(propensity, gamma=0.5)
+    mubar = lambda x, a: np.asarray(a, dtype=float) * (0.3 + 0.2 * np.asarray(x, dtype=float) ** 2)
+    ev = ol.excess_variance(inst, mubar)
+    values = (ol.true_functional(inst), ol.efficient_variance(inst), ev.value, ev.gap)
+    assert all(type(v) is float for v in values)
+    assert tuple(v.hex() for v in values) == pinned
 
 
 def test_oracle_equivalence_random_finite_instances():

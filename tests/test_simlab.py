@@ -216,6 +216,39 @@ def test_failed_replication_in_a_worker_names_its_cell(monkeypatch):
     assert err.value.__cause__.fold == 1
 
 
+def test_failure_in_a_later_chunk_names_its_cell(monkeypatch):
+    # 2 workers cut each cell's 9 seeds into 8 chunks: the last replication
+    # of (oracle, 40) fails in that cell's eighth chunk, and the first
+    # replication of the later cell (ipw, 20) fails as well
+    master, reps = 4, 9
+    doomed = {
+        simlab.mix_seed(master, "oracle", 40, reps - 1): "last oracle replication",
+        simlab.mix_seed(master, "ipw", 20, 0): "first ipw replication",
+    }
+    run_rep = simlab._run_rep
+
+    def failing_rep(estimator, instance, n, rep_seed, tau_star, spec):
+        if rep_seed in doomed:
+            raise ValueError(f"{doomed[rep_seed]} failed")
+        return run_rep(estimator, instance, n, rep_seed, tau_star, spec)
+
+    # the forked workers inherit the patched replication
+    monkeypatch.setattr(simlab, "_run_rep", failing_rep)
+    config = ExperimentConfig(
+        instance=builtin_doc(sigma0=0.1),
+        estimators=("oracle", "ipw"),
+        n_grid=(20, 40),
+        reps=reps,
+        master_seed=master,
+        threads=2,
+    )
+    with pytest.raises(CellError) as err:
+        run_experiment(config)
+    assert (err.value.estimator, err.value.n) == ("oracle", 40)
+    assert str(err.value) == "cell (estimator=oracle, n=40) failed: last oracle replication failed"
+    assert isinstance(err.value.__cause__, ValueError)
+
+
 @pytest.mark.parametrize(
     "error",
     [
@@ -438,6 +471,29 @@ def test_cli_error_is_machine_readable(tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     doc = json.loads(err)
     assert "error" in doc and "message" in doc
+
+
+def test_cli_small_ball_rejects_zero_reps(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    save_instance(make_d1(1.0), inst_path)
+    code = cli.main([
+        "diagnose", "small-ball", "--instance", str(inst_path), "--alpha1", "0.5", "--reps", "0",
+    ])
+    assert code == 1
+    doc = json.loads(capsys.readouterr().err)
+    assert doc == {"error": "ValueError", "message": "reps must be at least 1, got 0"}
+
+
+def test_cli_critical_radius_names_a_singular_feature_map(tmp_path, capsys):
+    # g = a zeroes the a = 0 arm, where alone (1, x, a, xa) differs from (1, x, 1, x)
+    inst_path = tmp_path / "builtin.json"
+    inst_path.write_text(json.dumps(builtin_doc(propensity="pi1", sigma0=0.15)))
+    code = cli.main(["diagnose", "critical-radius", "--instance", str(inst_path), "--m", "100"])
+    assert code == 1
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["error"] == "ValueError"
+    assert doc["message"].startswith("feature map 'bilinear-xa' on this instance: ")
+    assert "smallest eigenvalue" in doc["message"]
 
 
 def test_cli_diagnose_critical_radius_and_profile(tmp_path, capsys):
