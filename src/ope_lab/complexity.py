@@ -42,6 +42,7 @@ DEFAULT_REPS = 10_000
 VERIFY_TOL = 1e-10
 EXHAUSTIVE_PATTERN_LIMIT = 16
 RANDOM_PATTERN_COUNT = 10_000
+SINGULAR_RTOL = 1e-12
 
 
 class ComplexityEstimate(NamedTuple):
@@ -78,8 +79,10 @@ class LocalizedClassSpec:
             sig = np.asarray(self.sigma_matrix, dtype=float)
             if not np.allclose(sig, sig.T, atol=1e-10):
                 raise ValueError("sigma_matrix must be symmetric")
-            smallest = float(np.min(scipy.linalg.eigvalsh(sig)))
-            if smallest <= 0:
+            eigenvalues = scipy.linalg.eigvalsh(sig)
+            smallest = float(eigenvalues[0])
+            # relative: rounding leaves a singular Sigma a few ulps off zero
+            if smallest <= SINGULAR_RTOL * float(eigenvalues[-1]):
                 raise ValueError(
                     f"sigma_matrix must be positive definite; its smallest "
                     f"eigenvalue is {smallest:.3g}"
@@ -189,7 +192,7 @@ def rademacher_S_mc(
             sd = _pair_values(instance, instance.outcome_sd, x, a, index)
             mult = sd * rng.standard_normal(m)
         else:
-            mult = np.asarray(multiplier(x, a), dtype=float) * np.ones(m)
+            mult = _pair_values(instance, multiplier, x, a, index)
         eps = rng.integers(0, 2, size=m) * 2.0 - 1.0
         phi = _features_at(spec.feature_map, x, a)
         score = (eps * ratio2 * mult) @ phi / m
@@ -327,11 +330,11 @@ def small_ball_estimate(
     if h_norm == 0.0:
         raise ValueError("small-ball probability undefined for ||h||_w = 0")
     rng = make_generator(mix_seed(seed, "small-ball"))
-    x, a, _ = _draw_pairs(instance, reps, rng)
+    x, a, index = _draw_pairs(instance, reps, rng)
     vals = np.abs(
-        np.asarray(instance.weight_fn(x, a), dtype=float)
-        * np.asarray(h(x, a), dtype=float)
-        / instance.propensity_at(x, a)
+        _pair_values(instance, instance.weight_fn, x, a, index)
+        * _pair_values(instance, h, x, a, index)
+        / _pair_values(instance, instance.propensity, x, a, index)
     )
     hits = vals >= alpha1 * h_norm
     p = float(np.mean(hits))

@@ -14,15 +14,13 @@ and the central error metric is the weighted L2 norm
 All expectations are computed exactly: enumeration for finite state spaces,
 adaptive Simpson quadrature for one-dimensional continuous states on [0, 1].
 
-Finite instances built with ``from_tables`` are also evaluated by index.  The
-draw picks state and action indices and reads pi, mu and sd from the tables;
-an estimator resolves the observed states and actions to table indices once
-per call (``ProblemInstance.table_index``) and reads pi, g and mu rows from
-the tables.  Indices are never stored on a dataset, so a dataset scored
-against another instance is looked up in that instance's tables.  Other
-callables (auxiliaries, first-stage fits), continuous instances and
-instances whose fields were replaced after ``from_tables`` are evaluated on
-the state and action values.
+A finite instance is its tables: construction evaluates the propensity,
+weight, mean and sd on every (state, action) pair, and the instance is then
+sampled and scored by (state index, action index).  A draw picks indices; an
+estimator locates the observed pairs once per call (``table_index``), and
+any other function (an auxiliary, a first-stage fit) is evaluated once per
+call on the same grid and read by index.  Datasets carry no indices.
+Continuous instances are evaluated at the pairs' own states.
 
 Evaluable fields (propensity, weight_fn, outcome_mean, outcome_sd) must be
 vectorized over numpy arrays with standard broadcasting.  Action identifiers
@@ -199,13 +197,10 @@ class ProblemInstance:
     weight_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     outcome_mean: Callable[[np.ndarray, np.ndarray], np.ndarray]
     outcome_sd: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    noise_family: str = "gaussian"
     instance_id: str = "custom"
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.noise_family != "gaussian":
-            raise ValueError("only gaussian outcome noise is supported")
         probe = self.probe_states()
         pmat = np.asarray(self.propensity(probe), dtype=float)
         if pmat.shape != (probe.size, self.actions.n_actions):
@@ -230,7 +225,15 @@ class ProblemInstance:
         sd = self._pair_grid(self.outcome_sd, probe)
         if not (sd >= 0).all():
             raise ValueError("outcome_sd must be non-negative")
-        object.__setattr__(self, "_table_keys", self._own_table_keys())
+        grids = ()
+        if isinstance(self.states, FiniteStates):
+            grids = (
+                (self.propensity, pmat),
+                (self.weight_fn, self._pair_grid(self.weight_fn, probe)),
+                (self.outcome_mean, self._pair_grid(self.outcome_mean, probe)),
+                (self.outcome_sd, sd),
+            )
+        object.__setattr__(self, "_grids", grids)
 
     # -- evaluation helpers -------------------------------------------------
 
@@ -263,27 +266,24 @@ class ProblemInstance:
         return idx
 
     def table_index(self, x: np.ndarray, a: np.ndarray):
-        """Indices (state, action) of the pairs (x_i, a_i) into the tables of a
-        table-backed finite instance, or None when the instance has none.
+        """Indices (state, action) of the pairs (x_i, a_i) into the grids of a
+        finite instance, or None for a continuous instance.
 
         An unknown action or state raises as a table lookup does.
         """
-        if self._table_keys is None:
+        if not isinstance(self.states, FiniteStates):
             return None
         ai = self.action_index(a)
         return _lookup_index(self.states._keys, np.asarray(x, dtype=float)), ai
 
-    def _own_table_keys(self):
-        """(state keys, action keys) when propensity, weight_fn, outcome_mean
-        and outcome_sd are all tables over this instance's own states and
-        actions (as ``from_tables`` builds them), else None."""
-        if not isinstance(self.states, FiniteStates):
-            return None
-        keys = (self.states._keys, self.actions._keys)
-        fns = (self.propensity, self.weight_fn, self.outcome_mean, self.outcome_sd)
-        if all(isinstance(fn, _TableFn) and fn.keys == keys for fn in fns):
-            return keys
-        return None
+    def _grid(self, fn) -> np.ndarray:
+        """fn on every (state, action) pair of a finite instance, shape (S, K):
+        the grid kept at construction for a field of the instance, one
+        evaluation for any other function."""
+        for own, grid in self._grids:
+            if fn is own:
+                return grid
+        return self._pair_grid(fn, self.states.values)
 
     def lam_inner(self, fn, x: np.ndarray) -> np.ndarray:
         """<fn(x, .), lambda> = sum_a lambda(a) fn(x, a), vectorized in x."""
@@ -365,7 +365,7 @@ class ProblemInstance:
         return cls(
             states=finite,
             actions=action_space,
-            propensity=_TablePropensity(keys, tables["propensity"]),
+            propensity=_TablePropensity(finite._keys, tables["propensity"]),
             weight_fn=_TablePairFn(keys, tables["weight"]),
             outcome_mean=_TablePairFn(keys, tables["outcome_mean"]),
             outcome_sd=_TablePairFn(keys, tables["outcome_sd"]),
@@ -390,16 +390,12 @@ def _lookup_index(keys: _SortedKeys, queries: np.ndarray) -> np.ndarray:
     return idx
 
 
-class _TableFn:
-    """Lookup into a table over (state keys, action keys) of a finite instance."""
+class _TablePairFn:
+    """Broadcasting (x, a) -> table[x, a] lookup for finite instances."""
 
     def __init__(self, keys: tuple[_SortedKeys, _SortedKeys], table: np.ndarray):
         self.keys = keys
         self.table = table
-
-
-class _TablePairFn(_TableFn):
-    """Broadcasting (x, a) -> table[x, a] lookup for finite instances."""
 
     def __call__(self, x, a):
         x, a = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(a, dtype=float))
@@ -408,12 +404,16 @@ class _TablePairFn(_TableFn):
         return self.table[si, ai]
 
 
-class _TablePropensity(_TableFn):
+class _TablePropensity:
     """x -> full propensity row, preserving the action-space column order."""
+
+    def __init__(self, states: _SortedKeys, table: np.ndarray):
+        self.states = states
+        self.table = table
 
     def __call__(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        return self.table[_lookup_index(self.keys[0], x)]
+        return self.table[_lookup_index(self.states, x)]
 
 
 @dataclass(frozen=True)
@@ -432,12 +432,9 @@ class StateActionFunction:
         return self.fn(x, a)
 
 
-def verify_zero_conditional_mean(
-    instance: ProblemInstance, h, tol: float = ZERO_MEAN_TOL
-) -> float:
+def verify_zero_conditional_mean(instance: ProblemInstance, h) -> float:
     """Max |<h(x, .), pi(x, .)>| over the probe grid."""
-    worst = float(np.max(np.abs(instance.conditional_mean(h, instance.probe_states()))))
-    return worst
+    return float(np.max(np.abs(instance.conditional_mean(h, instance.probe_states()))))
 
 
 def state_action_function(
@@ -498,20 +495,18 @@ def _draw_pairs(instance: ProblemInstance, n: int, rng: np.random.Generator):
     """Draw n states from the state law, then an action from pi(X, .) each.
 
     Returns (x, a, index): ``index`` is the pair (state indices, action
-    indices) into the instance's tables, or None for an instance without
-    tables.  The generator is advanced by one ``rng.random(n)`` searched in
-    the state cdf (the steps of ``rng.choice(size, p=probs)``, finite states)
-    or by the state sampler, then by one ``rng.random(n)``.
+    indices) into the grids of a finite instance, None for a continuous one.
+    The generator is advanced by one ``rng.random(n)`` searched in the state
+    cdf (the steps of ``rng.choice(size, p=probs)``, finite states) or by the
+    state sampler, then by one ``rng.random(n)``.
     """
-    by_index = instance._table_keys is not None
     if isinstance(instance.states, FiniteStates):
         si = instance.states._cdf.searchsorted(rng.random(n), side="right")
         x = instance.states.values[si]
+        pmat = instance._grid(instance.propensity)[si]
     else:
+        si = None
         x = np.asarray(instance.states.sampler(rng, n), dtype=float)
-    if by_index:
-        pmat = instance.propensity.table[si]
-    else:
         pmat = np.asarray(instance.propensity(x), dtype=float)
     weights = instance.actions.base_weights
     # lambda(a) pi(x, a), one column per action
@@ -538,7 +533,7 @@ def _draw_pairs(instance: ProblemInstance, n: int, rng: np.random.Generator):
             state=float(x[worst]),
         )
     a = instance.actions.labels[ai]
-    return x, a, ((si, ai) if by_index else None)
+    return x, a, (None if si is None else (si, ai))
 
 
 def sample_dataset(instance: ProblemInstance, n: int, seed: int) -> Dataset:
@@ -557,36 +552,42 @@ def sample_dataset(instance: ProblemInstance, n: int, seed: int) -> Dataset:
     return Dataset(x=x, a=a, y=y, seed=int(seed), instance_id=instance.instance_id)
 
 
-def _by_index(instance: ProblemInstance, fn, index) -> bool:
-    """Whether fn is a table over the instance's keys and ``index`` (from
-    ``table_index`` or a draw) locates the pairs in it."""
-    return index is not None and isinstance(fn, _TableFn) and fn.keys == instance._table_keys
-
-
 def _pair_values(instance: ProblemInstance, fn, x, a, index) -> np.ndarray:
-    """fn(x_i, a_i) for every pair, read from fn's table when it is one."""
-    if _by_index(instance, fn, index):
-        return fn.table[index]
+    """fn(x_i, a_i) for every pair; ``fn`` may be the propensity.  ``index``
+    locates a finite instance's pairs in its grids (from ``table_index`` or a
+    draw) and is None for a continuous instance, evaluated at the pairs."""
+    if index is not None:
+        return instance._grid(fn)[index]
+    if fn is instance.propensity:
+        return instance.propensity_at(x, a)
     return np.asarray(fn(x, a), dtype=float) * np.ones(len(x))
 
 
 def _pair_rows(instance: ProblemInstance, fn, x, index) -> np.ndarray:
     """fn(x_i, a) for every pair's state and every action a, shape (n, K);
     the propensity's rows when fn is ``instance.propensity``."""
-    if _by_index(instance, fn, index):
-        return fn.table[index[0]]
+    if index is not None:
+        return instance._grid(fn)[index[0]]
     if fn is instance.propensity:
         return np.asarray(fn(x), dtype=float)
     return instance._pair_grid(fn, x)
 
 
-def _likelihood_ratio(instance: ProblemInstance, x, a, index=None) -> np.ndarray:
-    """g/pi at the pairs (x_i, a_i), read from the tables when ``index`` is
-    given; zero propensity raises naming the pair."""
+def _values_and_rows(instance: ProblemInstance, fn, x, a, index):
+    """``_pair_values`` and ``_pair_rows`` of fn, from one evaluation of fn on
+    a finite instance's grid."""
     if index is None:
-        pi_vals = instance.propensity_at(x, a)
-    else:
-        pi_vals = instance.propensity.table[index]
+        return _pair_values(instance, fn, x, a, None), _pair_rows(instance, fn, x, None)
+    grid = instance._grid(fn)
+    return grid[index], grid[index[0]]
+
+
+def _likelihood_ratio(instance: ProblemInstance, x, a, index=None) -> np.ndarray:
+    """g/pi at the pairs (x_i, a_i), located here unless ``index`` is given;
+    zero propensity raises naming the pair."""
+    if index is None:
+        index = instance.table_index(x, a)
+    pi_vals = _pair_values(instance, instance.propensity, x, a, index)
     g_vals = _pair_values(instance, instance.weight_fn, x, a, index)
     positive = pi_vals > 0
     if not positive.all():

@@ -29,7 +29,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import regression
-from .core import Dataset, ProblemInstance, _likelihood_ratio, _pair_rows, _pair_values
+from .core import Dataset, ProblemInstance, _likelihood_ratio, _pair_rows, _values_and_rows
 from .rng import mix_seed
 
 REPORT_CSV_HEADER = "estimator_id,n,seed,tau_hat,plugin_variance"
@@ -103,7 +103,6 @@ class FirstStageSpec:
     feature_map: Any = None
     radius: float | None = None
     ridge: float = 0.0
-    kernel_id: str = "sobolev1"
     frozen_fn: Callable | None = None
 
     def __post_init__(self):
@@ -151,8 +150,8 @@ class TwoStageReport(EstimateReport):
 
 
 def _observed(instance: ProblemInstance, data: Dataset):
-    """Table indices of the observed pairs (None without tables), resolved
-    once per estimator call, and g/pi at the pairs."""
+    """Grid indices of the observed pairs (None for a continuous instance),
+    located once per estimator call, and g/pi at the pairs."""
     index = instance.table_index(data.x, data.a)
     return index, _likelihood_ratio(instance, data.x, data.a, index)
 
@@ -169,11 +168,13 @@ def _mean_and_variance(values: np.ndarray) -> tuple[float, float]:
 
 
 def _influence(instance: ProblemInstance, ratio, x, a, y, mu_fn, index=None) -> np.ndarray:
-    """g/pi (y - mu) + <g, mu> at observed pairs, given ratio = g/pi there and
-    the pairs' table indices (None without tables)."""
-    mu_obs = _pair_values(instance, mu_fn, x, a, index)
+    """g/pi (y - mu) + <g, mu> at observed pairs, given ratio = g/pi there;
+    the pairs are located here unless ``index`` is given."""
+    if index is None:
+        index = instance.table_index(x, a)
+    mu_obs, mu_rows = _values_and_rows(instance, mu_fn, x, a, index)
     g_rows = _pair_rows(instance, instance.weight_fn, x, index)
-    inner = (g_rows * _pair_rows(instance, mu_fn, x, index)) @ instance.actions.base_weights
+    inner = (g_rows * mu_rows) @ instance.actions.base_weights
     return ratio * (y - mu_obs) + inner
 
 
@@ -210,9 +211,9 @@ def generic_estimate(
     mean of [ g/pi * y - f(x, a) + <f(x, .), pi(x, .)> ].
     """
     index, ratio = _observed(instance, data)
-    f_obs = np.asarray(f(data.x, data.a), dtype=float) * np.ones(len(data))
+    f_obs, f_rows = _values_and_rows(instance, f, data.x, data.a, index)
     pmat = _pair_rows(instance, instance.propensity, data.x, index)
-    recenter = (pmat * _pair_rows(instance, f, data.x, index)) @ instance.actions.base_weights
+    recenter = (pmat * f_rows) @ instance.actions.base_weights
     return _report("generic", data, ratio * data.y - f_obs + recenter)
 
 
@@ -263,10 +264,9 @@ def _fit_first_stage(
         # rows with zero weight-function value never enter the objective
         w_train = w if spec.regressor_id == "weighted-krr" else (w > 0).astype(float)
         lam = regression.cross_validate_lambda(
-            x, y, w_train, grid=spec.lambda_grid, folds=spec.folds,
-            seed=seed, kernel_id=spec.kernel_id,
+            x, y, w_train, grid=spec.lambda_grid, folds=spec.folds, seed=seed
         )
-        model = regression.fit_weighted_krr(x, y, w_train, lam, spec.kernel_id)
+        model = regression.fit_weighted_krr(x, y, w_train, lam)
 
         def predict(xq, aq, _m=model):
             xq = np.asarray(xq, dtype=float)
@@ -347,6 +347,7 @@ def two_stage_estimate(
     # each half is scored with the fit trained on the other half
     infl = np.empty(n)
     for idx, fit in zip(halves, (fit2, fit1)):
+        # the half's rows of the pairs located above (a continuous instance has none)
         half_index = None if index is None else (index[0][idx], index[1][idx])
         infl[idx] = _influence(
             instance, ratio[idx], data.x[idx], data.a[idx], data.y[idx],

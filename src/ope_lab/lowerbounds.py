@@ -149,16 +149,14 @@ def _require_finite(instance: ProblemInstance) -> FiniteStates:
 
 
 def _tables(instance: ProblemInstance):
-    """Per-atom tables over the (state, action) grid."""
+    """Per-atom tables over the (state, action) grid: the instance's grids."""
     states = _require_finite(instance)
-    xs = states.values
-    probs = states.probs
-    lam = instance.actions.base_weights
-    pmat = np.asarray(instance.propensity(xs), dtype=float)
-    gmat = instance._pair_grid(instance.weight_fn, xs)
-    mumat = instance._pair_grid(instance.outcome_mean, xs)
-    sdmat = instance._pair_grid(instance.outcome_sd, xs)
-    return xs, probs, lam, pmat, gmat, mumat, sdmat
+    grid = instance._grid
+    return (
+        states.values, states.probs, instance.actions.base_weights,
+        grid(instance.propensity), grid(instance.weight_fn),
+        grid(instance.outcome_mean), grid(instance.outcome_sd),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +257,7 @@ def sigma_perturbed_pair(
     """
     if n < 1:
         raise ValueError("n must be positive")
-    xs, probs, lam, pmat, gmat, _, sdmat = _tables(instance)
+    _, probs, lam, pmat, gmat, _, sdmat = _tables(instance)
     sigma_norm_sq = float(probs @ ((gmat**2 / pmat * sdmat**2) @ lam))
     sigma_norm = float(np.sqrt(sigma_norm_sq))
     if sigma_norm == 0.0:
@@ -286,7 +284,7 @@ def sigma_perturbed_pair(
         "target_gap": target_gap,
     }
     if delta is not None:
-        dmat = instance._pair_grid(delta, xs)
+        dmat = instance._grid(delta)
         required = gmat * sdmat**2 / (pmat * sigma_norm)
         ok = bool(np.all(np.sqrt(n) * dmat >= required - 1e-12))
         checks["neighborhood_large_enough"] = ok
@@ -324,8 +322,8 @@ def delta_mixture(
     """
     if reps < 1:
         raise ValueError("reps must be positive")
-    xs, probs, lam, pmat, gmat, mumat, _ = _tables(instance)
-    dmat = instance._pair_grid(delta, xs)
+    _, probs, lam, pmat, gmat, mumat, _ = _tables(instance)
+    dmat = instance._grid(delta)
     if np.any(dmat <= 0):
         raise ValueError("delta must be strictly positive on the support")
 

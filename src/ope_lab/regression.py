@@ -43,6 +43,7 @@ TIE_GAP = 1e-13
 DEFAULT_LAMBDA_GRID = tuple(float(v) for v in np.logspace(-1.0, 2.0, 7))
 L1_MAX_ITER = 10_000
 L1_REL_TOL = 1e-10
+L1_KKT_TOL = 1e-6
 
 
 class RegressionError(RuntimeError):
@@ -122,7 +123,6 @@ class KernelRidgeModel:
     anchors: np.ndarray
     targets: np.ndarray
     weights: np.ndarray
-    kernel_id: str = "sobolev1"
 
     def predict(self, x) -> np.ndarray:
         out = np.interp(x, self.knots, self.values)
@@ -145,7 +145,7 @@ class KernelRidgeModel:
         return json.dumps(
             {
                 "regressor_id": self.regressor_id,
-                "kernel_id": self.kernel_id,
+                "kernel_id": "sobolev1",
                 "lambda": self.lambda_reg,
                 "anchors": self.anchors.tolist(),
                 "alpha": self.alpha.tolist(),
@@ -211,14 +211,12 @@ class IsotonicModel:
 # ---------------------------------------------------------------------------
 
 
-def _validate_kernel_inputs(x, y, w, kernel_id):
+def _validate_kernel_inputs(x, y, w):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
     if not (x.shape == y.shape == w.shape) or x.ndim != 1:
         raise ValueError("x, y, w must be equal-length vectors")
-    if kernel_id != "sobolev1":
-        raise ValueError(f"unknown kernel {kernel_id!r}; only 'sobolev1' is supported")
     if np.any(w < 0):
         raise ValueError("weights must be non-negative")
     if not np.any(w > 0):
@@ -269,7 +267,6 @@ def fit_weighted_krr(
     y,
     w,
     lambda_reg: float,
-    kernel_id: str = "sobolev1",
     solver: str = "auto",
 ) -> KernelRidgeModel:
     """Weighted kernel ridge regression with the min kernel.
@@ -279,7 +276,7 @@ def fit_weighted_krr(
     reference: direct factorization of the alpha system, least-squares
     fallback past condition 1e12, then evaluated at the same knots).
     """
-    x, y, w = _validate_kernel_inputs(x, y, w, kernel_id)
+    x, y, w = _validate_kernel_inputs(x, y, w)
     if lambda_reg <= 0:
         raise ValueError("lambda_reg must be positive")
     pooled = _PooledStates(x, y, w)
@@ -297,14 +294,13 @@ def fit_weighted_krr(
         anchors=x,
         targets=y,
         weights=w,
-        kernel_id=kernel_id,
     )
 
 
-def fit_unweighted_krr(x, y, lambda_reg: float, kernel_id: str = "sobolev1", solver: str = "auto") -> KernelRidgeModel:
+def fit_unweighted_krr(x, y, lambda_reg: float, solver: str = "auto") -> KernelRidgeModel:
     """Standard kernel ridge regression: the weighted fit at unit weights."""
     x = np.asarray(x, dtype=float)
-    model = fit_weighted_krr(x, np.asarray(y, dtype=float), np.ones_like(x), lambda_reg, kernel_id, solver)
+    model = fit_weighted_krr(x, np.asarray(y, dtype=float), np.ones_like(x), lambda_reg, solver)
     model.regressor_id = "unweighted-krr"
     return model
 
@@ -416,16 +412,13 @@ def fit_l1_constrained(
     y,
     w,
     radius: float,
-    max_iter: int = L1_MAX_ITER,
-    rel_tol: float = L1_REL_TOL,
-    kkt_tol: float = 1e-6,
 ) -> LinearModel:
     """Projected gradient descent for the weighted square loss on the l1 ball.
 
     Step size 1/L with L the largest eigenvalue of the weighted Gram matrix
     (power iteration).  Convergence requires both a relative objective
-    decrease below ``rel_tol`` and a projected-gradient mapping below
-    ``kkt_tol`` in every coordinate; hitting the iteration cap first sets a
+    decrease below ``L1_REL_TOL`` and a projected-gradient mapping below
+    ``L1_KKT_TOL`` in every coordinate; hitting the iteration cap first sets a
     warning flag instead of raising (the problem is convex; the cap is a
     budget).
     """
@@ -460,12 +453,12 @@ def fit_l1_constrained(
 
     obj = objective(theta)
     converged = False
-    for _ in range(max_iter):
+    for _ in range(L1_MAX_ITER):
         theta_new = project_l1_ball(theta - step * half_grad(theta), radius)
         obj_new = objective(theta_new)
-        small_decrease = abs(obj - obj_new) <= rel_tol * max(obj, 1e-300)
+        small_decrease = abs(obj - obj_new) <= L1_REL_TOL * max(obj, 1e-300)
         theta, obj = theta_new, obj_new
-        if small_decrease and np.max(np.abs(gradient_mapping(theta))) < kkt_tol:
+        if small_decrease and np.max(np.abs(gradient_mapping(theta))) < L1_KKT_TOL:
             converged = True
             break
     gm = gradient_mapping(theta)
@@ -531,7 +524,6 @@ def cross_validate_lambda(
     grid: Sequence[float] = DEFAULT_LAMBDA_GRID,
     folds: int = 5,
     seed: int = 0,
-    kernel_id: str = "sobolev1",
 ) -> float:
     """Pick the ridge level minimizing the weighted validation square loss.
 
@@ -568,7 +560,7 @@ def cross_validate_lambda(
         mask[val_idx] = False
         if not np.any(w[mask] > 0):
             continue
-        pooled = _PooledStates(*_validate_kernel_inputs(x[mask], y[mask], w[mask], kernel_id))
+        pooled = _PooledStates(*_validate_kernel_inputs(x[mask], y[mask], w[mask]))
         x_val, y_val, w_val = x[val_idx], y[val_idx], w[val_idx]
         for j, lam in enumerate(grid):
             resid = y_val - np.interp(x_val, pooled.knots, pooled.solve(lam))

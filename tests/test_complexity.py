@@ -128,6 +128,18 @@ def test_singular_sigma_names_its_smallest_eigenvalue():
         )
 
 
+def test_numerically_singular_sigma_is_rejected():
+    # (1, x, 1, x) on g = a has rank 2; rounding leaves its smallest
+    # eigenvalue a few ulps above zero here, which a sign test accepts
+    inst = simlab.build_builtin_instance("pi1", gamma=0.5, sigma0=0.15)
+    feature_map = resolve_feature_map("bilinear-xa")
+    sigma, _ = moment_matrices(inst, feature_map)
+    with pytest.raises(ValueError, match=r"positive definite; its smallest eigenvalue is "):
+        LocalizedClassSpec(
+            class_id="linear-ellipsoid", radius=1.0, feature_map=feature_map, sigma_matrix=sigma
+        )
+
+
 # ---------------------------------------------------------------------------
 # Rademacher complexities
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ import pytest
 import scipy.stats
 
 import ope_lab as ol
-from ope_lab import estimators, simlab
+from ope_lab import estimators, regression, simlab
+from ope_lab.complexity import small_ball_estimate
 from ope_lab.estimators import REPORT_CSV_HEADER, FirstStageError
+from ope_lab.lowerbounds import tilted_instance
 
 from conftest import make_d1
 from oracles import brute_exact_estimator_variance
@@ -408,6 +410,73 @@ def test_estimators_reject_a_foreign_state_or_action(d1, estimate):
     a_bad[4] = 2.0
     with pytest.raises(ValueError, match=r"action 2\.0 not in"):
         estimate(dataset(x, a_bad), d1)
+
+
+def _array_lookup(field, inst):
+    """A plain numpy-array lookup holding the values of one of d1's tables;
+    d1's states and actions are 0 and 1, so a value is its own index."""
+    table = np.array(inst.meta["tables"][field])
+    if field == "propensity":
+        return lambda x: table[np.asarray(x).astype(int)]
+    return lambda x, a: table[np.asarray(x).astype(int), np.asarray(a).astype(int)]
+
+
+FIELD_TABLES = {
+    "propensity": "propensity", "weight_fn": "weight",
+    "outcome_mean": "outcome_mean", "outcome_sd": "outcome_sd",
+}
+
+
+@pytest.mark.parametrize("field", list(FIELD_TABLES))
+def test_a_replaced_field_gives_the_same_results(d1_noisy, field):
+    # an instance whose field is not a from_tables lookup is tabulated like one
+    lookup = _array_lookup(FIELD_TABLES[field], d1_noisy)
+    replaced = dataclasses.replace(d1_noisy, **{field: lookup})
+    aux = lambda x, a: np.asarray(x, dtype=float) - 0.5 * np.asarray(a, dtype=float)
+    frozen = ol.FirstStageSpec(regressor_id="frozen", frozen_fn=aux)
+
+    def results(inst):
+        data = ol.sample_dataset(inst, 40, seed=8)
+        reports = (
+            ol.ipw_estimate(data, inst),
+            ol.oracle_estimate(data, inst),
+            ol.generic_estimate(data, inst, aux),
+            ol.two_stage_estimate(data, inst, frozen, seed=1),
+        )
+        tilt = tilted_instance(inst, 50)
+        return (
+            [v.hex() for v in np.concatenate([data.x, data.a, data.y])],
+            [(r.tau_hat.hex(), r.plugin_variance.hex()) for r in reports],
+            (tilt.tweak, tilt.gap, tilt.divergences),
+            small_ball_estimate(inst, aux, alpha1=0.5, reps=400, seed=3),
+        )
+
+    assert results(replaced) == results(d1_noisy)
+
+
+def test_a_first_stage_fit_is_evaluated_once_per_half(d1_noisy, monkeypatch):
+    # on a finite instance each fit is evaluated once on the (state, action)
+    # grid to score its half, and once more at the pairs for fit_distance
+    calls = []
+    predict = regression.KernelRidgeModel.predict
+    monkeypatch.setattr(
+        regression.KernelRidgeModel, "predict",
+        lambda self, x: calls.append(1) or predict(self, x),
+    )
+    data = ol.sample_dataset(d1_noisy, 40, seed=4)
+    ol.two_stage_estimate(data, d1_noisy, ol.FirstStageSpec(regressor_id="weighted-krr"), seed=0)
+    assert len(calls) == 4
+
+
+def test_an_auxiliary_is_evaluated_once_per_generic_estimate(d1):
+    calls = []
+
+    def aux(x, a):
+        calls.append(1)
+        return np.asarray(x, dtype=float) * np.asarray(a, dtype=float)
+
+    ol.generic_estimate(ol.sample_dataset(d1, 30, seed=5), d1, aux)
+    assert len(calls) == 1
 
 
 def test_two_stage_isotonic_first_stage_runs():

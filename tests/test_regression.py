@@ -93,8 +93,6 @@ def test_krr_input_validation():
     with pytest.raises(ValueError):
         fit_weighted_krr(np.array([1.5]), y, w, 1.0)
     with pytest.raises(ValueError):
-        fit_weighted_krr(x, y, w, 1.0, kernel_id="rbf")
-    with pytest.raises(ValueError):
         fit_weighted_krr(np.array([np.nan]), y, w, 1.0)
 
 

@@ -496,6 +496,21 @@ def test_cli_critical_radius_names_a_singular_feature_map(tmp_path, capsys):
     assert "smallest eigenvalue" in doc["message"]
 
 
+def test_cli_closed_form_radius_names_a_numerically_singular_feature_map(tmp_path, capsys):
+    # at gamma 0.5 the singular Sigma's smallest eigenvalue rounds to +2.9e-16
+    inst_path = tmp_path / "builtin.json"
+    inst_path.write_text(json.dumps(builtin_doc(propensity="pi1", gamma=0.5, sigma0=0.15)))
+    code = cli.main([
+        "diagnose", "critical-radius", "--instance", str(inst_path), "--m", "100",
+        "--source", "closed-form-linear",
+    ])
+    assert code == 1
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["error"] == "ValueError"
+    assert doc["message"].startswith("feature map 'bilinear-xa' on this instance: ")
+    assert "smallest eigenvalue" in doc["message"]
+
+
 def test_cli_diagnose_critical_radius_and_profile(tmp_path, capsys):
     inst = make_d1(1.0)
     inst_path = tmp_path / "inst.json"
