@@ -73,7 +73,8 @@ def _ellipsoid_spec(instance, feature_map_id, radius):
         )
     except ValueError as exc:
         # e.g. a weight that zeroes an arm collapses features that differ only there
-        raise ValueError(f"feature map {feature_map_id!r} on this instance: {exc}") from exc
+        raise ValueError(f"feature map {feature_map_id!r} on this instance: {exc}; "
+                         "try --features state-linear") from exc
     return spec, gamma
 
 
@@ -188,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     dcr = dsub.add_parser("critical-radius")
     dcr.add_argument("--instance", required=True)
-    dcr.add_argument("--features", default="bilinear-xa")
     dcr.add_argument("--m", type=int, required=True)
     dcr.add_argument("--kind", choices=("s", "r"), default="s")
     dcr.add_argument("--source", choices=("mc", "closed-form-linear"), default="mc")
@@ -215,13 +215,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     dpr = dsub.add_parser("rademacher-profile")
     dpr.add_argument("--instance", required=True)
-    dpr.add_argument("--features", default="bilinear-xa")
     dpr.add_argument("--m", type=int, required=True)
     dpr.add_argument("--radii", type=float, nargs="+", default=(0.5, 1.0, 2.0))
     dpr.add_argument("--reps", type=int, default=2000)
     dpr.add_argument("--seed", type=int, default=0)
     dpr.add_argument("--out")
     dpr.set_defaults(func=_diagnose)
+    for linear_class in (dcr, dpr):
+        linear_class.add_argument(
+            "--features", default="bilinear-xa", choices=sorted(regression.FEATURE_MAPS),
+            help="feature map; the builtin missing-data family needs state-linear",
+        )
 
     lb = sub.add_parser("lowerbound", help="adversarial construction reports")
     lsub = lb.add_subparsers(dest="lb_command", required=True)

@@ -21,7 +21,6 @@ has a closed form:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
@@ -42,6 +41,7 @@ DEFAULT_REPS = 10_000
 VERIFY_TOL = 1e-10
 EXHAUSTIVE_PATTERN_LIMIT = 16
 RANDOM_PATTERN_COUNT = 10_000
+PATTERN_BLOCK = 256  # patterns per witness call; bounds verify's memory
 SINGULAR_RTOL = 1e-12
 
 
@@ -351,8 +351,11 @@ class ShatteringCertificate:
     """Points, thresholds and a witness map certifying shattering at a scale.
 
     The witness must hit threshold +/- scale exactly (within ``VERIFY_TOL``).
-    ``witness(pattern)`` maps a +/-1 pattern to parameters; ``evaluate``
-    computes the witness function at every stored point.
+    Both maps are batched over leading axes: ``witness`` maps +/-1 patterns
+    of shape (..., n_points) to parameters of shape (..., p), and
+    ``evaluate(params, points)`` maps parameters of shape (..., p) to the
+    witness functions' values at every stored point, shape (..., n_points).
+    A single pattern of shape (n_points,) is the case with no leading axis.
     """
 
     points: np.ndarray
@@ -366,21 +369,26 @@ class ShatteringCertificate:
     def n_points(self) -> int:
         return int(self.points.shape[0])
 
-    def pattern_iter(self, seed: int = 0):
+    def pattern_blocks(self, seed: int = 0):
+        """The checked sign patterns as (m, n_points) blocks, m <= PATTERN_BLOCK:
+        all 2^d in ``itertools.product((-1.0, 1.0), repeat=d)`` order for
+        d <= EXHAUSTIVE_PATTERN_LIMIT, else RANDOM_PATTERN_COUNT random ones."""
         d = self.n_points
         if d <= EXHAUSTIVE_PATTERN_LIMIT:
-            for bits in itertools.product((-1.0, 1.0), repeat=d):
-                yield np.array(bits)
+            shifts = np.arange(d - 1, -1, -1)  # bits of a counter, most significant first
+            for start in range(0, 2**d, PATTERN_BLOCK):
+                idx = np.arange(start, min(start + PATTERN_BLOCK, 2**d))
+                yield ((idx[:, None] >> shifts) & 1) * 2.0 - 1.0
         else:
             rng = make_generator(mix_seed(seed, "patterns"))
-            for _ in range(RANDOM_PATTERN_COUNT):
-                yield rng.integers(0, 2, size=d) * 2.0 - 1.0
+            for start in range(0, RANDOM_PATTERN_COUNT, PATTERN_BLOCK):
+                m = min(PATTERN_BLOCK, RANDOM_PATTERN_COUNT - start)
+                yield rng.integers(0, 2, size=(m, d)) * 2.0 - 1.0
 
     def verify(self, tol: float = VERIFY_TOL, seed: int = 0) -> bool:
-        """Check every (or 10^4 random) sign pattern against the witness."""
-        for zeta in self.pattern_iter(seed=seed):
-            params = self.witness(zeta)
-            values = np.asarray(self.evaluate(params, self.points), dtype=float)
+        """Check every (or 10^4 random) sign pattern against the witness, by block."""
+        for zeta in self.pattern_blocks(seed=seed):
+            values = np.asarray(self.evaluate(self.witness(zeta), self.points), dtype=float)
             target = self.thresholds + zeta * self.scale
             if np.max(np.abs(values - target)) > tol:
                 return False
@@ -423,18 +431,16 @@ def hadamard_glm_shatter(
     target = amplitude * radius
     inv_vals = np.asarray(link.inverse(np.array([-target, target])), dtype=float)
     if not np.all(np.isfinite(inv_vals)):
-        raise ValueError(
-            f"link inverse is not defined at +/-{target!r}"
-        )
+        raise ValueError(f"link inverse is not defined at +/-{target!r}")
     hadamard = scipy.linalg.hadamard(p).astype(float)
     points = hadamard.T.copy()  # row l is the l-th basis vector
 
     def witness(zeta: np.ndarray) -> np.ndarray:
         vals = np.asarray(link.inverse(zeta * target), dtype=float)
-        return hadamard @ vals / p
+        return vals @ hadamard / p  # the Sylvester matrix is symmetric
 
     def evaluate(beta: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        return np.asarray(link.forward(pts @ beta), dtype=float)
+        return np.asarray(link.forward(beta @ pts.T), dtype=float)
 
     cert = ShatteringCertificate(
         points=points,
@@ -470,27 +476,23 @@ def sparse_packing_shatter(p: int, s: int) -> ShatteringCertificate:
             "s = p gives an empty construction (zero shattered points); "
             "choose s < p with p/s a power of two"
         )
-    # column j of bits is the k-bit binary representation of j, MSB first
-    bits = np.array(
-        [[(j >> (k - 1 - i)) & 1 for j in range(block)] for i in range(k)],
-        dtype=float,
-    )
-    eye_s = np.eye(s)
-    points = np.stack(
-        [np.kron(bits[i], eye_s[j]) for i in range(k) for j in range(s)]
-    )
+    # column j of bits is the k-bit binary representation of j, MSB first;
+    # point (i, j) is row i * s + j, kron(bits[i], e_j)
+    powers = 2 ** np.arange(k - 1, -1, -1, dtype=float)
+    bits = (np.arange(block) // powers[:, None]) % 2
+    points = np.kron(bits, np.eye(s))
 
     def witness(zeta: np.ndarray) -> np.ndarray:
-        binary = ((np.asarray(zeta, dtype=float) + 1.0) / 2.0).reshape(k, s)
-        beta = np.zeros(p)
-        powers = 2 ** np.arange(k - 1, -1, -1, dtype=float)
-        for j in range(s):
-            col_index = int(np.rint(powers @ binary[:, j]))
-            beta += np.kron(np.eye(block)[col_index], eye_s[j])
+        zeta = np.asarray(zeta, dtype=float)
+        binary = ((zeta + 1.0) / 2.0).reshape(*zeta.shape[:-1], k, s)
+        # column c of block j is entry c * s + j of kron(e_c, e_j)
+        cols = np.rint(np.swapaxes(binary, -1, -2) @ powers).astype(int)
+        beta = np.zeros((*zeta.shape[:-1], p))
+        np.put_along_axis(beta, cols * s + np.arange(s), 1.0, axis=-1)
         return beta
 
     def evaluate(beta: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        return pts @ beta
+        return beta @ pts.T
 
     cert = ShatteringCertificate(
         points=points,

@@ -173,6 +173,11 @@ def _influence(instance: ProblemInstance, ratio, x, a, y, mu_fn, index=None) -> 
     if index is None:
         index = instance.table_index(x, a)
     mu_obs, mu_rows = _values_and_rows(instance, mu_fn, x, a, index)
+    return _influence_at(instance, ratio, x, y, index, mu_obs, mu_rows)
+
+
+def _influence_at(instance: ProblemInstance, ratio, x, y, index, mu_obs, mu_rows) -> np.ndarray:
+    """The influence terms from mu at the located pairs and its rows there."""
     g_rows = _pair_rows(instance, instance.weight_fn, x, index)
     inner = (g_rows * mu_rows) @ instance.actions.base_weights
     return ratio * (y - mu_obs) + inner
@@ -329,33 +334,32 @@ def two_stage_estimate(
     halves = (np.arange(n1), np.arange(n1, n))
     index, ratio = _observed(instance, data)
 
+    x, a, y = data.x, data.a, data.y
     fits = []
     for j, idx in enumerate(halves, start=1):
         try:
-            fits.append(
-                _fit_first_stage(
-                    spec, data.x[idx], data.a[idx], data.y[idx], ratio[idx] ** 2,
-                    seed=mix_seed(seed, "first-stage", j),
-                )
-            )
+            fits.append(_fit_first_stage(
+                spec, x[idx], a[idx], y[idx], ratio[idx] ** 2, seed=mix_seed(seed, "first-stage", j)
+            ))
         except Exception as exc:
-            raise FirstStageError(
-                f"first-stage fit failed on half {j}: {exc}", fold=j
-            ) from exc
+            raise FirstStageError(f"first-stage fit failed on half {j}: {exc}", fold=j) from exc
     fit1, fit2 = fits
 
-    # each half is scored with the fit trained on the other half
+    # each half is scored with the fit trained on the other half; a finite
+    # instance evaluates each fit once, on its grid, for that and fit_distance
     infl = np.empty(n)
-    for idx, fit in zip(halves, (fit2, fit1)):
-        # the half's rows of the pairs located above (a continuous instance has none)
-        half_index = None if index is None else (index[0][idx], index[1][idx])
-        infl[idx] = _influence(
-            instance, ratio[idx], data.x[idx], data.a[idx], data.y[idx],
-            fit.predict_xa, half_index,
-        )
-
-    mu1 = np.asarray(fit1.predict_xa(data.x, data.a), dtype=float)
-    mu2 = np.asarray(fit2.predict_xa(data.x, data.a), dtype=float)
+    if index is None:
+        for idx, fit in zip(halves, (fit2, fit1)):
+            infl[idx] = _influence(instance, ratio[idx], x[idx], a[idx], y[idx], fit.predict_xa)
+        mu1, mu2 = (np.asarray(f.predict_xa(x, a), dtype=float) for f in fits)
+    else:
+        grids = [instance._grid(f.predict_xa) for f in fits]
+        for idx, grid in zip(halves, grids[::-1]):
+            half = (index[0][idx], index[1][idx])
+            infl[idx] = _influence_at(
+                instance, ratio[idx], x[idx], y[idx], half, grid[half], grid[half[0]]
+            )
+        mu1, mu2 = (grid[index] for grid in grids)
     fit_distance = float(np.sqrt(np.mean(ratio**2 * (mu1 - mu2) ** 2)))
 
     return _report(

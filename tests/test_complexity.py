@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import itertools
 
 import numpy as np
@@ -7,7 +9,11 @@ from scipy import integrate
 import ope_lab as ol
 from ope_lab import simlab
 from ope_lab.complexity import (
+    EXHAUSTIVE_PATTERN_LIMIT,
     IDENTITY_LINK,
+    PATTERN_BLOCK,
+    RANDOM_PATTERN_COUNT,
+    VERIFY_TOL,
     Link,
     LocalizedClassSpec,
     ShatteringCertificate,
@@ -21,6 +27,7 @@ from ope_lab.complexity import (
     sparse_packing_shatter,
 )
 from ope_lab.regression import resolve_feature_map
+from ope_lab.rng import make_generator, mix_seed
 
 from conftest import make_d1
 
@@ -522,3 +529,102 @@ def test_certificate_csv():
     lines = text.strip().split("\n")
     assert lines[0].startswith("index,threshold,scale,c0")
     assert len(lines) == 1 + cert.n_points
+
+
+def _per_pattern_verify(cert, tol=VERIFY_TOL, seed=0):
+    """The check as it was before blocks: one witness and one evaluate call
+    per sign pattern, the patterns from itertools.product or one size-d
+    draw each."""
+    d = cert.n_points
+    if d <= EXHAUSTIVE_PATTERN_LIMIT:
+        patterns = (np.array(bits) for bits in itertools.product((-1.0, 1.0), repeat=d))
+    else:
+        rng = make_generator(mix_seed(seed, "patterns"))
+        patterns = (rng.integers(0, 2, size=d) * 2.0 - 1.0 for _ in range(RANDOM_PATTERN_COUNT))
+    for zeta in patterns:
+        values = np.asarray(cert.evaluate(cert.witness(zeta), cert.points), dtype=float)
+        if np.max(np.abs(values - (cert.thresholds + zeta * cert.scale))) > tol:
+            return False
+    return True
+
+
+CUBE = Link(forward=lambda z: z**3, inverse=lambda z: np.cbrt(z), name="cube")
+CERTIFICATES = {
+    "hadamard-2": lambda: hadamard_glm_shatter(2),
+    "hadamard-4": lambda: hadamard_glm_shatter(4),
+    "hadamard-8": lambda: hadamard_glm_shatter(8),
+    "hadamard-16": lambda: hadamard_glm_shatter(16),
+    "hadamard-32": lambda: hadamard_glm_shatter(32),
+    "hadamard-8-cube": lambda: hadamard_glm_shatter(8, CUBE, amplitude=0.7, radius=1.3),
+    "sparse-4-2": lambda: sparse_packing_shatter(4, 2),
+    "sparse-8-2": lambda: sparse_packing_shatter(8, 2),
+    "sparse-64-4": lambda: sparse_packing_shatter(64, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFICATES))
+def test_block_verify_agrees_with_the_per_pattern_loop(name):
+    cert = CERTIFICATES[name]()
+    assert cert.verify() and _per_pattern_verify(cert)
+    for shift in (0.25, 1e-9):
+        broken = dataclasses.replace(cert, thresholds=cert.thresholds + shift)
+        assert broken.verify() is _per_pattern_verify(broken) is False
+    # a shift inside the tolerance passes both ways
+    close = dataclasses.replace(cert, thresholds=cert.thresholds + 1e-12)
+    assert close.verify() is _per_pattern_verify(close) is True
+
+
+@pytest.mark.parametrize("d", [1, 5, 9, 16])
+def test_exhaustive_blocks_are_the_product_order(d):
+    cert = ShatteringCertificate(np.zeros((d, 1)), np.zeros(d), 1.0, None, None)
+    blocks = list(cert.pattern_blocks())
+    assert all(1 <= len(block) <= PATTERN_BLOCK for block in blocks)
+    assert len(blocks) == -(-2**d // PATTERN_BLOCK)
+    expected = np.array(list(itertools.product((-1.0, 1.0), repeat=d)))
+    assert np.array_equal(np.concatenate(blocks), expected)
+
+
+@pytest.mark.parametrize("name", ["hadamard-16", "sparse-64-4"])
+def test_verify_reaches_the_last_pattern_of_the_last_block(name):
+    cert = CERTIFICATES[name]()
+    last = list(cert.pattern_blocks())[-1]
+    assert len(list(cert.pattern_blocks())) > 1 and np.all(last[-1] == 1.0)
+
+    def witness(zeta):  # misses only the all-ones pattern
+        return cert.witness(zeta) + 1e-6 * np.all(zeta == 1.0, axis=-1)[..., None]
+
+    assert not dataclasses.replace(cert, witness=witness).verify()
+
+
+def test_random_blocks_are_the_per_pattern_draws():
+    cert = hadamard_glm_shatter(32)  # verifies 10^4 random patterns itself
+    assert cert.n_points > EXHAUSTIVE_PATTERN_LIMIT and cert.verify()
+    blocks = list(cert.pattern_blocks(seed=0))
+    assert all(1 <= len(block) <= PATTERN_BLOCK for block in blocks)
+    rng = make_generator(mix_seed(0, "patterns"))
+    draws = [rng.integers(0, 2, size=32) * 2.0 - 1.0 for _ in range(RANDOM_PATTERN_COUNT)]
+    assert np.array_equal(np.concatenate(blocks), np.stack(draws))
+    shifted = dataclasses.replace(cert, thresholds=cert.thresholds + 0.25)
+    assert not shifted.verify()
+
+
+def _witness_digest(cert):
+    h = hashlib.sha256()
+    for bits in itertools.product((-1.0, 1.0), repeat=cert.n_points):
+        beta = cert.witness(np.array(bits))
+        h.update(np.asarray(beta, dtype=float).tobytes())
+        h.update(np.asarray(cert.evaluate(beta, cert.points), dtype=float).tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("hadamard-2", "25790de28faa7533"),
+    ("hadamard-4", "daea791ded4b6a64"),
+    ("hadamard-8", "d7ab320490124887"),
+    ("hadamard-16", "909cfb37a25c5567"),
+    ("sparse-8-2", "b306dadb4060f94c"),
+])
+def test_single_pattern_witness_bits_are_pinned(name, digest):
+    # the bytes of witness(z) and evaluate(witness(z), points) for every
+    # pattern z, one pattern at a time, as the per-pattern code gave them
+    assert _witness_digest(CERTIFICATES[name]()) == digest

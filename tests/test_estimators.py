@@ -455,8 +455,8 @@ def test_a_replaced_field_gives_the_same_results(d1_noisy, field):
 
 
 def test_a_first_stage_fit_is_evaluated_once_per_half(d1_noisy, monkeypatch):
-    # on a finite instance each fit is evaluated once on the (state, action)
-    # grid to score its half, and once more at the pairs for fit_distance
+    # on a finite instance each fit is evaluated once, on the (state, action)
+    # grid; that grid scores the other half and gives fit_distance's values
     calls = []
     predict = regression.KernelRidgeModel.predict
     monkeypatch.setattr(
@@ -465,7 +465,23 @@ def test_a_first_stage_fit_is_evaluated_once_per_half(d1_noisy, monkeypatch):
     )
     data = ol.sample_dataset(d1_noisy, 40, seed=4)
     ol.two_stage_estimate(data, d1_noisy, ol.FirstStageSpec(regressor_id="weighted-krr"), seed=0)
-    assert len(calls) == 4
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("regressor, options, fit_distance", [
+    ("weighted-krr", {}, "0x1.81f989643415ap-1"),
+    ("unweighted-krr", {}, "0x1.d7c2cda6e7c1fp+0"),
+    ("weighted-linear", {"feature_map": "bilinear-xa"}, "0x1.80655a9ed91bap+0"),
+    ("l1-constrained", {"feature_map": "bilinear-xa", "radius": 5.0}, "0x1.7967f5a522c1fp+0"),
+    ("weighted-isotonic", {"feature_map": "state"}, "0x1.0b7282bfd0d1cp-1"),
+])
+def test_fit_distance_bits_are_pinned(d1_noisy, regressor, options, fit_distance):
+    # recorded with each fit predicted at the n observed pairs; reading those
+    # values from the fit's (state, action) grid must give the same bits
+    data = ol.sample_dataset(d1_noisy, 40, seed=4)
+    spec = ol.FirstStageSpec(regressor_id=regressor, **options)
+    report = ol.two_stage_estimate(data, d1_noisy, spec, seed=0)
+    assert report.fit_distance.hex() == fit_distance
 
 
 def test_an_auxiliary_is_evaluated_once_per_generic_estimate(d1):

@@ -494,6 +494,7 @@ def test_cli_critical_radius_names_a_singular_feature_map(tmp_path, capsys):
     assert doc["error"] == "ValueError"
     assert doc["message"].startswith("feature map 'bilinear-xa' on this instance: ")
     assert "smallest eigenvalue" in doc["message"]
+    assert doc["message"].endswith("; try --features state-linear")
 
 
 def test_cli_closed_form_radius_names_a_numerically_singular_feature_map(tmp_path, capsys):
@@ -509,6 +510,20 @@ def test_cli_closed_form_radius_names_a_numerically_singular_feature_map(tmp_pat
     assert doc["error"] == "ValueError"
     assert doc["message"].startswith("feature map 'bilinear-xa' on this instance: ")
     assert "smallest eigenvalue" in doc["message"]
+    assert doc["message"].endswith("; try --features state-linear")
+
+
+@pytest.mark.parametrize("command", ["critical-radius", "rademacher-profile"])
+def test_cli_features_are_the_named_maps(tmp_path, capsys, command):
+    with pytest.raises(SystemExit):
+        cli.main(["diagnose", command, "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "the builtin missing-data family needs state-linear" in help_text
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["diagnose", command, "--instance", str(tmp_path / "inst.json"),
+                  "--m", "10", "--features", "quadratic"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'quadratic'" in capsys.readouterr().err
 
 
 def test_cli_diagnose_critical_radius_and_profile(tmp_path, capsys):
