@@ -25,7 +25,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     ProblemInstance,
@@ -69,6 +68,8 @@ class LocalizedClassSpec:
     l1_radius: float | None = None
 
     def __post_init__(self):
+        import scipy.linalg
+
         if self.class_id not in ("linear-ellipsoid", "l1-ball", "singleton-zero"):
             raise ValueError(f"unsupported class {self.class_id!r}")
         if self.radius < 0:
@@ -132,6 +133,8 @@ def moment_matrices(instance: ProblemInstance, feature_map) -> tuple[np.ndarray,
 
 def _score_sup(spec: LocalizedClassSpec, score: np.ndarray, chol) -> float:
     """Closed-form supremum of <theta, score> over the localized class."""
+    import scipy.linalg
+
     if spec.class_id == "singleton-zero":
         return 0.0
     if spec.class_id == "linear-ellipsoid":
@@ -141,6 +144,8 @@ def _score_sup(spec: LocalizedClassSpec, score: np.ndarray, chol) -> float:
 
 
 def _prepare(spec: LocalizedClassSpec):
+    import scipy.linalg
+
     chol = None
     if spec.class_id == "linear-ellipsoid":
         chol = scipy.linalg.cholesky(spec.sigma_matrix, lower=True)
@@ -426,6 +431,8 @@ def hadamard_glm_shatter(
     places inverse-link values on that basis so the index model interpolates
     +/- amplitude*radius exactly at every point.
     """
+    import scipy.linalg
+
     if p < 1 or (p & (p - 1)) != 0:
         raise ValueError("p must be a positive power of two")
     target = amplitude * radius

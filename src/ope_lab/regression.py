@@ -24,8 +24,7 @@ distinct points, so the solve is O(m).  Zero-weight rows drop out, and a
 state within ``TIE_GAP`` of the previous one (or of 0) is pooled into it by
 summed weight and weighted target sum: exact for exact ties, a perturbation
 of the gap's size for near ties.  Pooling does not depend on lam, so
-cross-validation pools each fold once.  The dense solver factorizes the
-alpha system directly and is kept as the reference.
+cross-validation pools each fold once.
 """
 
 from __future__ import annotations
@@ -34,11 +33,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .rng import make_generator, mix_seed
 
-CONDITION_LIMIT = 1e12
 TIE_GAP = 1e-13
 DEFAULT_LAMBDA_GRID = tuple(float(v) for v in np.logspace(-1.0, 2.0, 7))
 L1_MAX_ITER = 10_000
@@ -48,15 +45,6 @@ L1_KKT_TOL = 1e-6
 
 class RegressionError(RuntimeError):
     pass
-
-
-class SingularSystemError(RegressionError):
-    def __init__(self, message: str, condition: float):
-        super().__init__(message)
-        self.condition = condition
-
-    def __reduce__(self):
-        return type(self), (self.args[0], self.condition)
 
 
 # ---------------------------------------------------------------------------
@@ -211,17 +199,26 @@ class IsotonicModel:
 # ---------------------------------------------------------------------------
 
 
+def _require_finite(**arrays) -> None:
+    """Reject NaN or inf data, naming the array and its first offending row."""
+    for name, values in arrays.items():
+        finite = np.isfinite(values)
+        if not finite.all():
+            row = int(np.argwhere(~np.atleast_1d(finite))[0][0])
+            raise ValueError(f"{name}[{row}] is not finite")
+
+
 def _validate_kernel_inputs(x, y, w):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
     if not (x.shape == y.shape == w.shape) or x.ndim != 1:
         raise ValueError("x, y, w must be equal-length vectors")
+    _require_finite(x=x, y=y, w=w)
     if np.any(w < 0):
         raise ValueError("weights must be non-negative")
     if not np.any(w > 0):
         raise ValueError("at least one weight must be positive")
-    # written to reject NaN states too, which pooling would absorb silently
     if not np.all((x >= 0) & (x <= 1)):
         raise ValueError("sobolev1 kernel requires x in [0, 1]")
     return x, y, w
@@ -246,6 +243,8 @@ class _PooledStates:
 
     def solve(self, lambda_reg: float) -> np.ndarray:
         """Fitted values at ``knots``: (lam K^{-1} + W) beta = W y, 0 first."""
+        import scipy.linalg
+
         m = self.wsum.size
         if m == 0:
             return np.zeros(1)
@@ -262,34 +261,17 @@ class _PooledStates:
         return np.concatenate([[0.0], beta])
 
 
-def fit_weighted_krr(
-    x,
-    y,
-    w,
-    lambda_reg: float,
-    solver: str = "auto",
-) -> KernelRidgeModel:
-    """Weighted kernel ridge regression with the min kernel.
-
-    ``solver`` is ``"auto"`` (O(m) banded solve on the pooled states; raises
-    ``RegressionError`` if the solve is not finite) or ``"dense"`` (the
-    reference: direct factorization of the alpha system, least-squares
-    fallback past condition 1e12, then evaluated at the same knots).
-    """
+def fit_weighted_krr(x, y, w, lambda_reg: float) -> KernelRidgeModel:
+    """Weighted kernel ridge regression with the min kernel: an O(m) banded
+    solve on the pooled states (``RegressionError`` if it is not finite)."""
     x, y, w = _validate_kernel_inputs(x, y, w)
     if lambda_reg <= 0:
         raise ValueError("lambda_reg must be positive")
     pooled = _PooledStates(x, y, w)
-    if solver == "auto":
-        values = pooled.solve(lambda_reg)
-    elif solver == "dense":
-        values = np.minimum.outer(pooled.knots, x) @ _solve_krr_dense(x, y, w, lambda_reg)
-    else:
-        raise ValueError(f"unknown solver {solver!r}")
     return KernelRidgeModel(
         regressor_id="weighted-krr",
         knots=pooled.knots,
-        values=values,
+        values=pooled.solve(lambda_reg),
         lambda_reg=float(lambda_reg),
         anchors=x,
         targets=y,
@@ -297,35 +279,12 @@ def fit_weighted_krr(
     )
 
 
-def fit_unweighted_krr(x, y, lambda_reg: float, solver: str = "auto") -> KernelRidgeModel:
+def fit_unweighted_krr(x, y, lambda_reg: float) -> KernelRidgeModel:
     """Standard kernel ridge regression: the weighted fit at unit weights."""
     x = np.asarray(x, dtype=float)
-    model = fit_weighted_krr(x, np.asarray(y, dtype=float), np.ones_like(x), lambda_reg, solver)
+    model = fit_weighted_krr(x, np.asarray(y, dtype=float), np.ones_like(x), lambda_reg)
     model.regressor_id = "unweighted-krr"
     return model
-
-
-def _solve_krr_dense(x, y, w, lambda_reg) -> np.ndarray:
-    gram = np.minimum.outer(x, x)
-    system = w[:, None] * gram + lambda_reg * np.eye(x.size)
-    rhs = w * y
-    try:
-        lu, piv = scipy.linalg.lu_factor(system)
-        anorm = np.linalg.norm(system, 1)
-        rcond, _ = scipy.linalg.lapack.dgecon(lu, anorm, norm="1")
-        if rcond > 1.0 / CONDITION_LIMIT:
-            return scipy.linalg.lu_solve((lu, piv), rhs)
-        cond = np.inf if rcond == 0 else 1.0 / rcond
-    except (scipy.linalg.LinAlgError, ValueError):
-        cond = np.inf
-    alpha, _, rank, _ = np.linalg.lstsq(system, rhs, rcond=None)
-    if not np.all(np.isfinite(alpha)):
-        raise SingularSystemError(
-            f"kernel system singular beyond the least-squares fallback "
-            f"(condition about {cond:.3e})",
-            condition=float(cond),
-        )
-    return alpha
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +309,7 @@ def fit_weighted_linear(
     w = np.asarray(w, dtype=float)
     if phi.ndim != 2:
         raise ValueError("features must be a 2-d array")
+    _require_finite(features=phi, y=y, w=w)
     if ridge < 0:
         raise ValueError("ridge must be non-negative")
     d = phi.shape[1]
@@ -488,6 +448,7 @@ def fit_weighted_isotonic(t, y, w, clamp_unit: bool = False) -> IsotonicModel:
     w = np.asarray(w, dtype=float)
     if not (t.shape == y.shape == w.shape) or t.ndim != 1:
         raise ValueError("t, y, w must be equal-length vectors")
+    _require_finite(t=t, y=y, w=w)
     if np.any(w <= 0):
         raise ValueError("weights must be strictly positive")
     order = np.argsort(t, kind="stable")
@@ -542,6 +503,8 @@ def cross_validate_lambda(
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
+    # checked here so that an error names the caller's row, not a fold's
+    _require_finite(x=x, y=y, w=w)
     grid = sorted(float(g) for g in grid)
     if len(grid) == 0:
         raise ValueError("grid must be non-empty")

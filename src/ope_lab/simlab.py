@@ -42,6 +42,8 @@ ESTIMATOR_IDS = ("ipw", "oracle", "two-stage-weighted-krr", "two-stage-unweighte
 RESULTS_HEADER = "instance_id,estimator,n,reps,normalized_mse,mc_stderr,master_seed"
 # each cell's replications go to the workers in this many chunks per worker
 CHUNKS_PER_WORKER = 4
+# mallopt parameters from glibc's malloc.h
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
 
 
 class CellError(RuntimeError):
@@ -295,9 +297,21 @@ _worker_instance: ProblemInstance | None = None
 def _start_worker(instance: ProblemInstance) -> None:
     """Pool initializer: a forked worker inherits the caller's instance
     without pickling it (builtin instances hold closures), so it is only
-    stored."""
+    stored.  The worker also keeps its heap: by default glibc returns a
+    free heap top past 128 KB, so a worker could fault each replication's
+    arrays in afresh (43k against 6k page faults per round of the hard
+    study at n up to 8000, about 5% of the workers' CPU, 2-core machine).
+    """
+    import ctypes
+
     global _worker_instance
     _worker_instance = instance
+    try:
+        libc = ctypes.CDLL(None)
+        libc.mallopt(M_MMAP_THRESHOLD, 16 << 20)  # blocks below 16 MB come from the heap
+        libc.mallopt(M_TRIM_THRESHOLD, 32 << 20)  # up to 32 MB stays free at its top
+    except (OSError, AttributeError):  # no glibc malloc
+        pass
 
 
 def _run_chunk(task) -> list:
@@ -309,10 +323,13 @@ def _run_chunk(task) -> list:
 def _process_pool(instance: ProblemInstance, workers: int):
     """``workers`` forked processes, each holding ``instance``.
 
-    Fork, not spawn: a spawned worker imports numpy and scipy afresh, which
-    made a pool of two take 0.8 s to start against 0.02 s forked (2-core
-    machine), and it would need the instance pickled.  Forking is unsafe
-    while the caller runs other threads.
+    Fork, not spawn: a forked worker inherits every module the caller has
+    loaded, while a spawned one imports numpy afresh (a pool of two took
+    0.8 s to start against 0.02 s forked, 2-core machine) and would need the
+    instance pickled.  A module the caller has not loaded is imported again
+    in every worker of every pool, so ``run_experiment`` loads
+    ``scipy.linalg`` (0.25 s, 27 MB) before a pool that runs first-stage
+    cells.  Forking is unsafe while the caller runs other threads.
     """
     # imported on first use (``futures.ProcessPoolExecutor`` is lazy too):
     # the process machinery adds 0.3 MB and 10 ms that runs in the caller
@@ -368,6 +385,9 @@ def run_experiment(config: ExperimentConfig) -> ResultsTable:
         for estimator, n, chunks, spec in cells
         for chunk in chunks
     ]
+    # loaded once here for the first stage's solve: forked workers inherit it
+    if config.threads > 1 and any(spec is not None for *_, spec in cells):
+        import scipy.linalg  # noqa: F401
     table = ResultsTable()
     # one pool serves every cell; a single worker runs in the caller
     with (

@@ -1,13 +1,17 @@
-"""Independent brute-force oracles for finite instances.
+"""Independent brute-force oracles for finite instances, and the dense
+kernel ridge solve.
 
-Deliberately written as plain-Python loops over probability tables, sharing
-no code with the package: these are the reference values the fast paths are
-checked against.
+Deliberately written as plain-Python loops over probability tables or as
+the textbook dense system, sharing no code with the package: these are the
+reference values the fast paths are checked against.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
+import scipy.linalg
 
 
 def brute_true_functional(probs, lam, g, mu):
@@ -103,3 +107,12 @@ def brute_isotonic_grid(t, y, w, step=1e-3):
     for pos, i in enumerate(order):
         fitted[i] = levels_rev[len(order) - 1 - pos]
     return fitted
+
+
+def dense_krr_values(x, y, w, lam, knots):
+    """Weighted min-kernel ridge fit at ``knots`` from the representer system
+    (W K + lam I) alpha = W y, K_ij = min(x_i, x_j), factorized densely."""
+    x, y, w = (np.asarray(v, dtype=float) for v in (x, y, w))
+    system = w[:, None] * np.minimum.outer(x, x) + lam * np.eye(x.size)
+    alpha = scipy.linalg.lu_solve(scipy.linalg.lu_factor(system), w * y)
+    return np.minimum.outer(knots, x) @ alpha

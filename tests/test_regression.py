@@ -3,7 +3,6 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from ope_lab import regression
 from ope_lab.regression import (
     RegressionError,
     cross_validate_lambda,
@@ -16,7 +15,8 @@ from ope_lab.regression import (
 )
 from ope_lab.rng import make_generator, mix_seed
 
-from oracles import brute_isotonic_grid
+import oracles
+from oracles import brute_isotonic_grid, dense_krr_values
 
 
 # ---------------------------------------------------------------------------
@@ -76,10 +76,10 @@ def test_krr_solvers_agree():
     w = np.concatenate([rng.random(60) * 3, [1.0, 0.2, 2.0, 0.0]])
     q = rng.random(200)
     for lam in (1e-6, 1e-2, 1.0, 1e3):
-        auto = fit_weighted_krr(x, y, w, lam, solver="auto")
-        dense = fit_weighted_krr(x, y, w, lam, solver="dense")
-        scale = max(1.0, np.max(np.abs(dense.predict(q))))
-        assert np.max(np.abs(auto.predict(q) - dense.predict(q))) < 1e-8 * scale
+        auto = fit_weighted_krr(x, y, w, lam)
+        dense = np.interp(q, auto.knots, dense_krr_values(x, y, w, lam, auto.knots))
+        scale = max(1.0, np.max(np.abs(dense)))
+        assert np.max(np.abs(auto.predict(q) - dense)) < 1e-8 * scale
 
 
 def test_krr_input_validation():
@@ -107,13 +107,13 @@ def test_krr_near_ties_pool_without_the_dense_solver(monkeypatch):
         raise AssertionError("the auto solver fell back to the dense solver")
 
     for lam in (1e-3, 1.0, 1e3):
-        dense = fit_weighted_krr(x, y, w, lam, solver="dense")
         with monkeypatch.context() as patch:
-            patch.setattr(regression, "_solve_krr_dense", refuse)
+            patch.setattr(oracles, "dense_krr_values", refuse)
             auto = fit_weighted_krr(x, y, w, lam)
         assert np.array_equal(auto.knots, [0.0, 0.1, 0.3, 0.7])
-        scale = max(1.0, np.max(np.abs(dense.predict(q))))
-        assert np.max(np.abs(auto.predict(q) - dense.predict(q))) < 1e-8 * scale
+        dense = np.interp(q, auto.knots, dense_krr_values(x, y, w, lam, auto.knots))
+        scale = max(1.0, np.max(np.abs(dense)))
+        assert np.max(np.abs(auto.predict(q) - dense)) < 1e-8 * scale
 
 
 def test_krr_non_finite_solve_raises():
@@ -535,3 +535,43 @@ def test_models_serialize_to_text():
     iso = fit_weighted_isotonic(np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.ones(2))
     doc = json.loads(iso.to_text())
     assert doc["levels"] == [0.0, 1.0]
+
+
+# ---------------------------------------------------------------------------
+# non-finite inputs
+# ---------------------------------------------------------------------------
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+@pytest.mark.parametrize("name", ["x", "y", "w"])
+def test_krr_rejects_non_finite_input_by_row(name, bad):
+    data = {"x": np.array([0.1, 0.4, 0.6, 0.9]), "y": np.array([1.0, -0.5, 2.0, 0.3]),
+            "w": np.ones(4)}
+    data[name][2] = bad
+    message = rf"^{name}\[2\] is not finite$"
+    with pytest.raises(ValueError, match=message):
+        fit_weighted_krr(data["x"], data["y"], data["w"], 1.0)
+    # cross-validation names the caller's row, not the row within a fold
+    with pytest.raises(ValueError, match=message):
+        cross_validate_lambda(data["x"], data["y"], data["w"], grid=(0.1, 1.0), folds=2)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+@pytest.mark.parametrize("name", ["features", "y", "w"])
+def test_linear_rejects_non_finite_input_by_row(name, bad):
+    data = {"features": np.column_stack([np.ones(4), np.arange(4.0)]),
+            "y": np.array([1.0, -0.5, 2.0, 0.3]), "w": np.ones(4)}
+    data[name][2] = bad
+    with pytest.raises(ValueError, match=rf"^{name}\[2\] is not finite$"):
+        fit_weighted_linear(data["features"], data["y"], data["w"])
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+@pytest.mark.parametrize("name", ["t", "y", "w"])
+def test_isotonic_rejects_non_finite_input_by_row(name, bad):
+    data = {"t": np.arange(4.0), "y": np.array([1.0, -0.5, 2.0, 0.3]), "w": np.ones(4)}
+    data[name][2] = bad
+    with pytest.raises(ValueError, match=rf"^{name}\[2\] is not finite$"):
+        fit_weighted_isotonic(data["t"], data["y"], data["w"])

@@ -11,7 +11,6 @@ from ope_lab.core import PropensityError, save_instance, write_dataset_csv
 from ope_lab.estimators import FirstStageError
 from ope_lab.lowerbounds import SupportError
 from ope_lab.quadrature import QuadratureError
-from ope_lab.regression import SingularSystemError
 from ope_lab.simlab import (
     CellError,
     ExperimentConfig,
@@ -256,7 +255,6 @@ def test_failure_in_a_later_chunk_names_its_cell(monkeypatch):
         FirstStageError("first-stage fit failed on half 2: singular", fold=2),
         QuadratureError("subdivision budget exhausted", achieved_tol=1e-3),
         SupportError("support violation at atom (0, 1)", atom=(0.0, 1.0)),
-        SingularSystemError("ill-conditioned system", condition=1e17),
         CellError("cell (estimator=ipw, n=10) failed: boom", estimator="ipw", n=10),
     ],
     ids=lambda error: type(error).__name__,
