@@ -189,17 +189,17 @@ def rademacher_S_mc(
     sups_sq = np.empty(reps)
     for r in range(reps):
         rng = substream(seed, r)
-        x, a, index = _draw_pairs(instance, m, rng)
-        ratio2 = _likelihood_ratio(instance, x, a, index) ** 2
+        pairs = _draw_pairs(instance, m, rng)
+        ratio2 = _likelihood_ratio(instance, pairs) ** 2
         if isinstance(multiplier, str):
             if multiplier != "outcome-noise":
                 raise ValueError(f"unknown multiplier {multiplier!r}")
-            sd = _pair_values(instance, instance.outcome_sd, x, a, index)
+            sd = _pair_values(instance, instance.outcome_sd, pairs)
             mult = sd * rng.standard_normal(m)
         else:
-            mult = _pair_values(instance, multiplier, x, a, index)
+            mult = _pair_values(instance, multiplier, pairs)
         eps = rng.integers(0, 2, size=m) * 2.0 - 1.0
-        phi = _features_at(spec.feature_map, x, a)
+        phi = _features_at(spec.feature_map, pairs.x, pairs.a)
         score = (eps * ratio2 * mult) @ phi / m
         sups_sq[r] = _score_sup(spec, score, chol) ** 2
     mean_sq = float(np.mean(sups_sq))
@@ -224,10 +224,10 @@ def rademacher_R_mc(
     sups = np.empty(reps)
     for r in range(reps):
         rng = substream(seed, r)
-        x, a, index = _draw_pairs(instance, m, rng)
-        ratio = _likelihood_ratio(instance, x, a, index)
+        pairs = _draw_pairs(instance, m, rng)
+        ratio = _likelihood_ratio(instance, pairs)
         eps = rng.integers(0, 2, size=m) * 2.0 - 1.0
-        phi = _features_at(spec.feature_map, x, a)
+        phi = _features_at(spec.feature_map, pairs.x, pairs.a)
         score = (eps * ratio) @ phi / m
         sups[r] = _score_sup(spec, score, chol)
     value = float(np.mean(sups))
@@ -335,11 +335,11 @@ def small_ball_estimate(
     if h_norm == 0.0:
         raise ValueError("small-ball probability undefined for ||h||_w = 0")
     rng = make_generator(mix_seed(seed, "small-ball"))
-    x, a, index = _draw_pairs(instance, reps, rng)
+    pairs = _draw_pairs(instance, reps, rng)
     vals = np.abs(
-        _pair_values(instance, instance.weight_fn, x, a, index)
-        * _pair_values(instance, h, x, a, index)
-        / _pair_values(instance, instance.propensity, x, a, index)
+        _pair_values(instance, instance.weight_fn, pairs)
+        * _pair_values(instance, h, pairs)
+        / _pair_values(instance, instance.propensity, pairs)
     )
     hits = vals >= alpha1 * h_norm
     p = float(np.mean(hits))

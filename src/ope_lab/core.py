@@ -16,11 +16,12 @@ adaptive Simpson quadrature for one-dimensional continuous states on [0, 1].
 
 A finite instance is its tables: construction evaluates the propensity,
 weight, mean and sd on every (state, action) pair, and the instance is then
-sampled and scored by (state index, action index).  A draw picks indices; an
-estimator locates the observed pairs once per call (``table_index``), and
-any other function (an auxiliary, a first-stage fit) is evaluated once per
-call on the same grid and read by index.  Datasets carry no indices.
-Continuous instances are evaluated at the pairs' own states.
+sampled and scored by (state index, action index).  A draw or an
+estimator locates its pairs once (``ProblemInstance.locate``), as ``Pairs``
+that carry each pair's action index and, on a finite instance, its state
+index; any other function (an auxiliary, a first-stage fit) is evaluated
+once per call on the same grid and read by index.  Datasets carry no
+indices.  Continuous instances are evaluated at the pairs' own states.
 
 Evaluable fields (propensity, weight_fn, outcome_mean, outcome_sd) must be
 vectorized over numpy arrays with standard broadcasting.  Action identifiers
@@ -180,6 +181,17 @@ class Continuous1D:
 StateDistribution = Union[FiniteStates, Continuous1D]
 
 
+class Pairs(NamedTuple):
+    """(state, action) pairs located in an instance: ``ai`` indexes the
+    action space and ``si`` a finite instance's states, None on a continuous
+    instance, whose functions are evaluated at the states ``x``."""
+
+    x: np.ndarray
+    a: np.ndarray
+    ai: np.ndarray
+    si: np.ndarray | None
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """Sampling model plus known (propensity, weight) pair.
@@ -225,12 +237,17 @@ class ProblemInstance:
         sd = self._pair_grid(self.outcome_sd, probe)
         if not (sd >= 0).all():
             raise ValueError("outcome_sd must be non-negative")
+        weight = self._pair_grid(self.weight_fn, probe)
+        mean = self._pair_grid(self.outcome_mean, probe)
+        # the checks above already reject a NaN or inf propensity
+        for name, grid in (("weight_fn", weight), ("outcome_mean", mean), ("outcome_sd", sd)):
+            _require_finite_cells(name, grid, probe, self.actions.labels)
         grids = ()
         if isinstance(self.states, FiniteStates):
             grids = (
                 (self.propensity, pmat),
-                (self.weight_fn, self._pair_grid(self.weight_fn, probe)),
-                (self.outcome_mean, self._pair_grid(self.outcome_mean, probe)),
+                (self.weight_fn, weight),
+                (self.outcome_mean, mean),
                 (self.outcome_sd, sd),
             )
         object.__setattr__(self, "_grids", grids)
@@ -265,16 +282,17 @@ class ProblemInstance:
             raise ValueError(f"action {a[miss][0]} not in the instance action space")
         return idx
 
-    def table_index(self, x: np.ndarray, a: np.ndarray):
-        """Indices (state, action) of the pairs (x_i, a_i) into the grids of a
-        finite instance, or None for a continuous instance.
+    def locate(self, x: np.ndarray, a: np.ndarray) -> Pairs:
+        """The pairs (x_i, a_i) with their action indices and, on a finite
+        instance, their state indices into its grids.
 
         An unknown action or state raises as a table lookup does.
         """
-        if not isinstance(self.states, FiniteStates):
-            return None
+        x, a = np.asarray(x, dtype=float), np.asarray(a, dtype=float)
         ai = self.action_index(a)
-        return _lookup_index(self.states._keys, np.asarray(x, dtype=float)), ai
+        finite = isinstance(self.states, FiniteStates)
+        si = _lookup_index(self.states._keys, x) if finite else None
+        return Pairs(x, a, ai, si)
 
     def _grid(self, fn) -> np.ndarray:
         """fn on every (state, action) pair of a finite instance, shape (S, K):
@@ -352,13 +370,7 @@ class ProblemInstance:
                     f"{name} table has shape {table.shape}, "
                     f"expected ({states.size}, {labels.size})"
                 )
-            finite_cells = np.isfinite(table)
-            if not finite_cells.all():
-                i, k = np.argwhere(~finite_cells)[0]
-                raise ValueError(
-                    f"{name} table is not finite at (state {states[i]}, "
-                    f"action {labels[k]}): {table[i, k]}"
-                )
+            _require_finite_cells(f"{name} table", table, states, labels)
             tables[name] = table
 
         keys = (finite._keys, action_space._keys)
@@ -380,6 +392,16 @@ class ProblemInstance:
                     **{name: table.tolist() for name, table in tables.items()},
                 },
             },
+        )
+
+
+def _require_finite_cells(name: str, grid: np.ndarray, states, labels) -> None:
+    """Reject a NaN or inf entry of a (state, action) grid, naming its cell."""
+    finite = np.isfinite(grid)
+    if not finite.all():
+        i, k = np.argwhere(~finite)[0]
+        raise ValueError(
+            f"{name} is not finite at (state {states[i]}, action {labels[k]}): {grid[i, k]}"
         )
 
 
@@ -491,11 +513,10 @@ class Dataset:
 # ---------------------------------------------------------------------------
 
 
-def _draw_pairs(instance: ProblemInstance, n: int, rng: np.random.Generator):
-    """Draw n states from the state law, then an action from pi(X, .) each.
+def _draw_pairs(instance: ProblemInstance, n: int, rng: np.random.Generator) -> Pairs:
+    """Draw n states from the state law, then an action from pi(X, .) each,
+    as located pairs.
 
-    Returns (x, a, index): ``index`` is the pair (state indices, action
-    indices) into the grids of a finite instance, None for a continuous one.
     The generator is advanced by one ``rng.random(n)`` searched in the state
     cdf (the steps of ``rng.choice(size, p=probs)``, finite states) or by the
     state sampler, then by one ``rng.random(n)``.
@@ -532,8 +553,7 @@ def _draw_pairs(instance: ProblemInstance, n: int, rng: np.random.Generator):
             f"propensity at sampled state {x[worst]} has mass {acc[worst]}",
             state=float(x[worst]),
         )
-    a = instance.actions.labels[ai]
-    return x, a, (None if si is None else (si, ai))
+    return Pairs(x, instance.actions.labels[ai], ai, si)
 
 
 def sample_dataset(instance: ProblemInstance, n: int, seed: int) -> Dataset:
@@ -545,56 +565,51 @@ def sample_dataset(instance: ProblemInstance, n: int, seed: int) -> Dataset:
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = make_generator(seed)
-    x, a, index = _draw_pairs(instance, n, rng)
-    mu = _pair_values(instance, instance.outcome_mean, x, a, index)
-    sd = _pair_values(instance, instance.outcome_sd, x, a, index)
+    pairs = _draw_pairs(instance, n, rng)
+    mu = _pair_values(instance, instance.outcome_mean, pairs)
+    sd = _pair_values(instance, instance.outcome_sd, pairs)
     y = mu + sd * rng.standard_normal(n)
-    return Dataset(x=x, a=a, y=y, seed=int(seed), instance_id=instance.instance_id)
+    return Dataset(x=pairs.x, a=pairs.a, y=y, seed=int(seed), instance_id=instance.instance_id)
 
 
-def _pair_values(instance: ProblemInstance, fn, x, a, index) -> np.ndarray:
-    """fn(x_i, a_i) for every pair; ``fn`` may be the propensity.  ``index``
-    locates a finite instance's pairs in its grids (from ``table_index`` or a
-    draw) and is None for a continuous instance, evaluated at the pairs."""
-    if index is not None:
-        return instance._grid(fn)[index]
+def _pair_values(instance: ProblemInstance, fn, pairs: Pairs) -> np.ndarray:
+    """fn(x_i, a_i) for every pair; ``fn`` may be the propensity.  A finite
+    instance reads its grid by index, a continuous one evaluates fn at the
+    pairs."""
+    if pairs.si is not None:
+        return instance._grid(fn)[pairs.si, pairs.ai]
     if fn is instance.propensity:
-        return instance.propensity_at(x, a)
-    return np.asarray(fn(x, a), dtype=float) * np.ones(len(x))
+        return np.asarray(fn(pairs.x), dtype=float)[np.arange(pairs.x.size), pairs.ai]
+    return np.asarray(fn(pairs.x, pairs.a), dtype=float) * np.ones(pairs.x.size)
 
 
-def _pair_rows(instance: ProblemInstance, fn, x, index) -> np.ndarray:
+def _pair_rows(instance: ProblemInstance, fn, pairs: Pairs) -> np.ndarray:
     """fn(x_i, a) for every pair's state and every action a, shape (n, K);
     the propensity's rows when fn is ``instance.propensity``."""
-    if index is not None:
-        return instance._grid(fn)[index[0]]
+    if pairs.si is not None:
+        return instance._grid(fn)[pairs.si]
     if fn is instance.propensity:
-        return np.asarray(fn(x), dtype=float)
-    return instance._pair_grid(fn, x)
+        return np.asarray(fn(pairs.x), dtype=float)
+    return instance._pair_grid(fn, pairs.x)
 
 
-def _values_and_rows(instance: ProblemInstance, fn, x, a, index):
-    """``_pair_values`` and ``_pair_rows`` of fn, from one evaluation of fn on
-    a finite instance's grid."""
-    if index is None:
-        return _pair_values(instance, fn, x, a, None), _pair_rows(instance, fn, x, None)
-    grid = instance._grid(fn)
-    return grid[index], grid[index[0]]
+def _values_and_rows(instance: ProblemInstance, fn, pairs: Pairs):
+    """``_pair_values`` and ``_pair_rows`` of fn from one evaluation of fn:
+    the values are picked from the rows."""
+    rows = _pair_rows(instance, fn, pairs)
+    return rows[np.arange(pairs.x.size), pairs.ai], rows
 
 
-def _likelihood_ratio(instance: ProblemInstance, x, a, index=None) -> np.ndarray:
-    """g/pi at the pairs (x_i, a_i), located here unless ``index`` is given;
-    zero propensity raises naming the pair."""
-    if index is None:
-        index = instance.table_index(x, a)
-    pi_vals = _pair_values(instance, instance.propensity, x, a, index)
-    g_vals = _pair_values(instance, instance.weight_fn, x, a, index)
+def _likelihood_ratio(instance: ProblemInstance, pairs: Pairs) -> np.ndarray:
+    """g/pi at located pairs; zero propensity raises naming the pair."""
+    pi_vals = _pair_values(instance, instance.propensity, pairs)
+    g_vals = _pair_values(instance, instance.weight_fn, pairs)
     positive = pi_vals > 0
     if not positive.all():
         bad = int(np.argmin(positive))
         raise ValueError(
             f"propensity is not positive at observed pair "
-            f"(x={x[bad]}, a={a[bad]})"
+            f"(x={pairs.x[bad]}, a={pairs.a[bad]})"
         )
     return g_vals / pi_vals
 

@@ -112,8 +112,7 @@ class FirstStageSpec:
             )
         if self.folds < 2:
             raise ValueError("folds must be at least 2")
-        if len(self.lambda_grid) == 0 or any(g <= 0 for g in self.lambda_grid):
-            raise ValueError("lambda grid must be non-empty and positive")
+        regression._require_ridge_levels("lambda_grid", self.lambda_grid)
         if self.regressor_id == "frozen" and self.frozen_fn is None:
             raise ValueError("frozen first stage requires frozen_fn")
 
@@ -150,10 +149,9 @@ class TwoStageReport(EstimateReport):
 
 
 def _observed(instance: ProblemInstance, data: Dataset):
-    """Grid indices of the observed pairs (None for a continuous instance),
-    located once per estimator call, and g/pi at the pairs."""
-    index = instance.table_index(data.x, data.a)
-    return index, _likelihood_ratio(instance, data.x, data.a, index)
+    """The observed pairs, located once per estimator call, and g/pi there."""
+    pairs = instance.locate(data.x, data.a)
+    return pairs, _likelihood_ratio(instance, pairs)
 
 
 def _mean_and_variance(values: np.ndarray) -> tuple[float, float]:
@@ -167,18 +165,9 @@ def _mean_and_variance(values: np.ndarray) -> tuple[float, float]:
     return float(mean), float(np.add.reduce(dev * dev) / (n - 1))
 
 
-def _influence(instance: ProblemInstance, ratio, x, a, y, mu_fn, index=None) -> np.ndarray:
-    """g/pi (y - mu) + <g, mu> at observed pairs, given ratio = g/pi there;
-    the pairs are located here unless ``index`` is given."""
-    if index is None:
-        index = instance.table_index(x, a)
-    mu_obs, mu_rows = _values_and_rows(instance, mu_fn, x, a, index)
-    return _influence_at(instance, ratio, x, y, index, mu_obs, mu_rows)
-
-
-def _influence_at(instance: ProblemInstance, ratio, x, y, index, mu_obs, mu_rows) -> np.ndarray:
-    """The influence terms from mu at the located pairs and its rows there."""
-    g_rows = _pair_rows(instance, instance.weight_fn, x, index)
+def _influence(instance: ProblemInstance, ratio, y, g_rows, mu_obs, mu_rows) -> np.ndarray:
+    """g/pi (y - mu) + <g, mu> at observed pairs, from ratio = g/pi there,
+    the rows of g and mu at the pairs' states, and mu at the pairs."""
     inner = (g_rows * mu_rows) @ instance.actions.base_weights
     return ratio * (y - mu_obs) + inner
 
@@ -215,9 +204,9 @@ def generic_estimate(
 
     mean of [ g/pi * y - f(x, a) + <f(x, .), pi(x, .)> ].
     """
-    index, ratio = _observed(instance, data)
-    f_obs, f_rows = _values_and_rows(instance, f, data.x, data.a, index)
-    pmat = _pair_rows(instance, instance.propensity, data.x, index)
+    pairs, ratio = _observed(instance, data)
+    f_obs, f_rows = _values_and_rows(instance, f, pairs)
+    pmat = _pair_rows(instance, instance.propensity, pairs)
     recenter = (pmat * f_rows) @ instance.actions.base_weights
     return _report("generic", data, ratio * data.y - f_obs + recenter)
 
@@ -227,21 +216,20 @@ def oracle_estimate(data: Dataset, instance: ProblemInstance) -> EstimateReport:
 
     Not computable from data alone; serves as the efficiency baseline.
     """
-    index, ratio = _observed(instance, data)
-    terms = _influence(
-        instance, ratio, data.x, data.a, data.y, instance.outcome_mean, index
-    )
-    return _report("oracle", data, terms)
+    pairs, ratio = _observed(instance, data)
+    g_rows = _pair_rows(instance, instance.weight_fn, pairs)
+    mu_obs, mu_rows = _values_and_rows(instance, instance.outcome_mean, pairs)
+    return _report("oracle", data, _influence(instance, ratio, data.y, g_rows, mu_obs, mu_rows))
 
 
 def asymptotic_variance_estimate(
     data: Dataset, mu_fn, instance: ProblemInstance
 ) -> float:
     """Sample variance of the influence terms g/pi (y - muhat) + <g, muhat>."""
-    index, ratio = _observed(instance, data)
-    return _mean_and_variance(
-        _influence(instance, ratio, data.x, data.a, data.y, mu_fn, index)
-    )[1]
+    pairs, ratio = _observed(instance, data)
+    g_rows = _pair_rows(instance, instance.weight_fn, pairs)
+    mu_obs, mu_rows = _values_and_rows(instance, mu_fn, pairs)
+    return _mean_and_variance(_influence(instance, ratio, data.y, g_rows, mu_obs, mu_rows))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +320,7 @@ def two_stage_estimate(
         raise ValueError(f"need n >= {2 * spec.folds} samples for {spec.folds} folds")
     n1 = (n + 1) // 2
     halves = (np.arange(n1), np.arange(n1, n))
-    index, ratio = _observed(instance, data)
+    pairs, ratio = _observed(instance, data)
 
     x, a, y = data.x, data.a, data.y
     fits = []
@@ -345,21 +333,13 @@ def two_stage_estimate(
             raise FirstStageError(f"first-stage fit failed on half {j}: {exc}", fold=j) from exc
     fit1, fit2 = fits
 
-    # each half is scored with the fit trained on the other half; a finite
-    # instance evaluates each fit once, on its grid, for that and fit_distance
+    # each fit is evaluated once at all n pairs: its values score the other
+    # half and give fit_distance
+    g_rows = _pair_rows(instance, instance.weight_fn, pairs)
+    (mu1, rows1), (mu2, rows2) = (_values_and_rows(instance, f.predict_xa, pairs) for f in fits)
     infl = np.empty(n)
-    if index is None:
-        for idx, fit in zip(halves, (fit2, fit1)):
-            infl[idx] = _influence(instance, ratio[idx], x[idx], a[idx], y[idx], fit.predict_xa)
-        mu1, mu2 = (np.asarray(f.predict_xa(x, a), dtype=float) for f in fits)
-    else:
-        grids = [instance._grid(f.predict_xa) for f in fits]
-        for idx, grid in zip(halves, grids[::-1]):
-            half = (index[0][idx], index[1][idx])
-            infl[idx] = _influence_at(
-                instance, ratio[idx], x[idx], y[idx], half, grid[half], grid[half[0]]
-            )
-        mu1, mu2 = (grid[index] for grid in grids)
+    for idx, mu, rows in ((halves[0], mu2, rows2), (halves[1], mu1, rows1)):
+        infl[idx] = _influence(instance, ratio[idx], y[idx], g_rows[idx], mu[idx], rows[idx])
     fit_distance = float(np.sqrt(np.mean(ratio**2 * (mu1 - mu2) ** 2)))
 
     return _report(

@@ -208,6 +208,16 @@ def _require_finite(**arrays) -> None:
             raise ValueError(f"{name}[{row}] is not finite")
 
 
+def _require_ridge_levels(name: str, levels) -> None:
+    """Reject an empty grid, or a level that is not a positive finite number,
+    naming its position."""
+    if len(levels) == 0:
+        raise ValueError(f"{name} must be non-empty")
+    for i, lam in enumerate(levels):
+        if not (np.isfinite(lam) and lam > 0):
+            raise ValueError(f"{name}[{i}] is {lam}, not a positive finite ridge level")
+
+
 def _validate_kernel_inputs(x, y, w):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -265,8 +275,8 @@ def fit_weighted_krr(x, y, w, lambda_reg: float) -> KernelRidgeModel:
     """Weighted kernel ridge regression with the min kernel: an O(m) banded
     solve on the pooled states (``RegressionError`` if it is not finite)."""
     x, y, w = _validate_kernel_inputs(x, y, w)
-    if lambda_reg <= 0:
-        raise ValueError("lambda_reg must be positive")
+    if not (np.isfinite(lambda_reg) and lambda_reg > 0):
+        raise ValueError(f"lambda_reg is {lambda_reg}, not a positive finite ridge level")
     pooled = _PooledStates(x, y, w)
     return KernelRidgeModel(
         regressor_id="weighted-krr",
@@ -505,11 +515,8 @@ def cross_validate_lambda(
     w = np.asarray(w, dtype=float)
     # checked here so that an error names the caller's row, not a fold's
     _require_finite(x=x, y=y, w=w)
+    _require_ridge_levels("grid", grid)
     grid = sorted(float(g) for g in grid)
-    if len(grid) == 0:
-        raise ValueError("grid must be non-empty")
-    if any(g <= 0 for g in grid):
-        raise ValueError("grid values must be positive")
     if len(grid) == 1:
         return grid[0]
     if folds < 2:

@@ -26,7 +26,7 @@ import functools
 import json
 from concurrent import futures
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401  (patched by benchmarks/tracing.py)
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -169,6 +169,8 @@ class ExperimentConfig:
         object.__setattr__(self, "estimators", tuple(self.estimators))
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         object.__setattr__(self, "lambda_grid", tuple(float(v) for v in self.lambda_grid))
+        for name in ("reps", "folds", "master_seed", "threads"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
         if list(self.n_grid) != sorted(self.n_grid):
@@ -181,17 +183,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
-        return cls(
-            instance=doc["instance"],
-            estimators=tuple(doc.get("estimators", ("oracle",))),
-            n_grid=tuple(doc.get("n_grid", (500, 1000, 2000, 4000, 8000))),
-            reps=int(doc.get("reps", 200)),
-            folds=int(doc.get("folds", 5)),
-            lambda_grid=tuple(doc.get("lambda_grid", DEFAULT_LAMBDA_GRID)),
-            master_seed=int(doc.get("master_seed", 0)),
-            output=doc.get("output"),
-            threads=int(doc.get("threads", 1)),
-        )
+        """The config a JSON document gives; a key that names no field raises."""
+        names = [f.name for f in fields(cls)]
+        unknown = [key for key in doc if key not in names]
+        if unknown:
+            raise ValueError(f"unknown config key {unknown[0]!r}; known: {names}")
+        return cls(**doc)
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":

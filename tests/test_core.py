@@ -168,6 +168,24 @@ def test_instance_checks_reject_nan_from_callables():
         dataclasses.replace(base, outcome_sd=lambda x, a: np.full(np.shape(x), np.nan))
 
 
+@pytest.mark.parametrize("kind, state", [("finite", "1.0"), ("builtin", "0.0")])
+@pytest.mark.parametrize("field, bad", [
+    ("weight_fn", np.nan), ("weight_fn", -np.inf), ("outcome_mean", np.nan),
+    ("outcome_mean", np.inf), ("outcome_sd", np.inf),
+])
+def test_instance_rejects_a_non_finite_field_naming_the_cell(kind, state, field, bad):
+    base = make_d1(1.0) if kind == "finite" else simlab.build_builtin_instance("pi1")
+    own = getattr(base, field)
+
+    def faulty(x, a):
+        values = np.asarray(own(x, a), dtype=float) * np.ones(np.broadcast(x, a).shape)
+        return np.where((x == float(state)) & (a == 0.0), bad, values)
+
+    cell = rf"\(state {state}, action 0\.0\): {bad}"
+    with pytest.raises(ValueError, match=rf"^{field} is not finite at {cell}"):
+        dataclasses.replace(base, **{field: faulty})
+
+
 @pytest.mark.parametrize("fault", ["negative", "mass"])
 def test_sampling_names_the_offending_sampled_state(fault):
     # the propensity passes the probe grid and fails off it above 1/2
@@ -263,7 +281,7 @@ def test_sample_dataset_draw_is_pinned():
 def test_pair_draw_is_rng_choice_then_a_cumulative_sum():
     # five states, four actions with unequal base weights
     inst = instance_from_random_tables(random_finite_tables(np.random.default_rng(3), 5, 4))
-    _, _, (si, ai) = core._draw_pairs(inst, 4000, make_generator(11))
+    _, _, ai, si = core._draw_pairs(inst, 4000, make_generator(11))
     rng = make_generator(11)
     si_want = rng.choice(5, size=4000, p=inst.states.probs)
     joint = inst.propensity.table[si_want] * inst.actions.base_weights
@@ -282,10 +300,10 @@ def test_table_index_follows_the_given_state_and_action_order():
         outcome_mean_table=[[3.0, 0.0], [2.0, 1.0]],
         outcome_sd_table=[[0.5, 0.5], [0.5, 0.5]],
     )
-    si, ai = inst.table_index(np.array([0.0, 1.0, 1.0]), np.array([0.0, 0.0, 1.0]))
-    assert si.tolist() == [1, 0, 0] and ai.tolist() == [1, 1, 0]
+    pairs = inst.locate(np.array([0.0, 1.0, 1.0]), np.array([0.0, 0.0, 1.0]))
+    assert pairs.si.tolist() == [1, 0, 0] and pairs.ai.tolist() == [1, 1, 0]
     assert inst.outcome_mean(np.array([0.0, 1.0, 1.0]), np.array([0.0, 0.0, 1.0])).tolist() == [1.0, 0.0, 3.0]
-    assert simlab.build_builtin_instance("pi1").table_index(np.zeros(1), np.zeros(1)) is None
+    assert simlab.build_builtin_instance("pi1").locate(np.zeros(1), np.zeros(1)).si is None
 
 
 def test_table_lookup_of_unknown_state_names_it(d1):

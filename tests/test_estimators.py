@@ -76,8 +76,10 @@ def test_ipw_is_the_influence_vector_at_zero(d1_noisy):
     zero = const_fn(0.0)
     report = ol.ipw_estimate(data, d1_noisy)
     assert report.plugin_variance == ol.asymptotic_variance_estimate(data, zero, d1_noisy)
-    ratio = estimators._likelihood_ratio(d1_noisy, data.x, data.a)
-    terms = estimators._influence(d1_noisy, ratio, data.x, data.a, data.y, zero)
+    pairs, ratio = estimators._observed(d1_noisy, data)
+    g_rows = estimators._pair_rows(d1_noisy, d1_noisy.weight_fn, pairs)
+    mu_obs, mu_rows = estimators._values_and_rows(d1_noisy, zero, pairs)
+    terms = estimators._influence(d1_noisy, ratio, data.y, g_rows, mu_obs, mu_rows)
     assert float(np.mean(terms)) == report.tau_hat
 
 
@@ -363,7 +365,7 @@ def test_estimators_read_tables_in_the_given_order():
     data = ol.sample_dataset(inst, 40, seed=5)
     x, a, y = data.x, data.a, data.y
     assert set(x) == {0.0, 1.0} and set(a) == {0.0, 1.0}
-    assert inst.table_index(x, a) is not None  # the estimators read tables by index
+    assert inst.locate(x, a).si is not None  # the estimators read tables by index
 
     def check(report, terms):
         assert report.tau_hat == float(np.mean(terms))
@@ -454,18 +456,41 @@ def test_a_replaced_field_gives_the_same_results(d1_noisy, field):
     assert results(replaced) == results(d1_noisy)
 
 
-def test_a_first_stage_fit_is_evaluated_once_per_half(d1_noisy, monkeypatch):
-    # on a finite instance each fit is evaluated once, on the (state, action)
-    # grid; that grid scores the other half and gives fit_distance's values
+@pytest.mark.parametrize("make_instance", [
+    pytest.param(lambda: make_d1(1.0), id="d1_noisy"),
+    pytest.param(lambda: simlab.build_builtin_instance("pi1"), id="pi1"),
+])
+def test_a_first_stage_fit_is_evaluated_once_per_half(make_instance, monkeypatch):
+    # each fit is evaluated once at the located pairs (on a finite instance,
+    # on its (state, action) grid); that scores the other half and gives
+    # fit_distance's values
+    instance = make_instance()
     calls = []
     predict = regression.KernelRidgeModel.predict
     monkeypatch.setattr(
         regression.KernelRidgeModel, "predict",
         lambda self, x: calls.append(1) or predict(self, x),
     )
-    data = ol.sample_dataset(d1_noisy, 40, seed=4)
-    ol.two_stage_estimate(data, d1_noisy, ol.FirstStageSpec(regressor_id="weighted-krr"), seed=0)
+    data = ol.sample_dataset(instance, 40, seed=4)
+    ol.two_stage_estimate(data, instance, ol.FirstStageSpec(regressor_id="weighted-krr"), seed=0)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("regressor, tau_hat, plugin_variance, fit_distance", [
+    ("weighted-krr", "0x1.3cd649668b989p-4", "0x1.97fedecfda5edp-2", "0x1.339ff6e56a95dp-6"),
+    ("unweighted-krr", "0x1.54320d1f5d7f9p-4", "0x1.97078b0fb4fe2p-2", "0x1.28340d5fa4208p-6"),
+])
+def test_kernel_two_stage_bits_are_pinned_on_a_continuous_instance(
+    regressor, tau_hat, plugin_variance, fit_distance
+):
+    # recorded with each fit predicted separately at the pairs and at their
+    # states' rows; picking the values from the rows must give the same bits
+    instance = simlab.build_builtin_instance("pi1")
+    data = ol.sample_dataset(instance, 40, seed=4)
+    report = ol.two_stage_estimate(data, instance, ol.FirstStageSpec(regressor_id=regressor), seed=0)
+    assert report.tau_hat.hex() == tau_hat
+    assert report.plugin_variance.hex() == plugin_variance
+    assert report.fit_distance.hex() == fit_distance
 
 
 @pytest.mark.parametrize("regressor, options, fit_distance", [

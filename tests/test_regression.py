@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from ope_lab.estimators import FirstStageSpec
 from ope_lab.regression import (
     RegressionError,
     cross_validate_lambda,
@@ -15,7 +16,6 @@ from ope_lab.regression import (
 )
 from ope_lab.rng import make_generator, mix_seed
 
-import oracles
 from oracles import brute_isotonic_grid, dense_krr_values
 
 
@@ -96,24 +96,30 @@ def test_krr_input_validation():
         fit_weighted_krr(np.array([np.nan]), y, w, 1.0)
 
 
-def test_krr_near_ties_pool_without_the_dense_solver(monkeypatch):
+def test_krr_near_ties_pool_into_knots_and_agree_with_the_dense_solve():
     # 0.3 + 1e-15 pools into the knot at 0.3 and 5e-14 into the origin
     x = np.array([0.1, 0.3, 0.3 + 1e-15, 0.7, 5e-14])
     y = np.array([1.0, -0.5, 2.0, 0.3, 4.0])
     w = np.array([1.0, 0.7, 1.3, 2.0, 0.9])
     q = np.linspace(0.0, 1.0, 101)
 
-    def refuse(*args):
-        raise AssertionError("the auto solver fell back to the dense solver")
-
     for lam in (1e-3, 1.0, 1e3):
-        with monkeypatch.context() as patch:
-            patch.setattr(oracles, "dense_krr_values", refuse)
-            auto = fit_weighted_krr(x, y, w, lam)
+        auto = fit_weighted_krr(x, y, w, lam)
         assert np.array_equal(auto.knots, [0.0, 0.1, 0.3, 0.7])
         dense = np.interp(q, auto.knots, dense_krr_values(x, y, w, lam, auto.knots))
         scale = max(1.0, np.max(np.abs(dense)))
         assert np.max(np.abs(auto.predict(q) - dense)) < 1e-8 * scale
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_a_ridge_level_that_is_not_positive_and_finite_is_rejected_where_it_enters(bad):
+    x = np.array([0.1, 0.5, 0.9])
+    with pytest.raises(ValueError, match=rf"^grid\[1\] is {bad}, not a positive finite"):
+        cross_validate_lambda(x, x, np.ones(3), grid=[1.0, bad, 2.0], folds=2)
+    with pytest.raises(ValueError, match=rf"^lambda_grid\[1\] is {bad}, not a positive finite"):
+        FirstStageSpec(regressor_id="weighted-krr", lambda_grid=(1.0, bad))
+    with pytest.raises(ValueError, match=rf"^lambda_reg is {bad}, not a positive finite"):
+        fit_weighted_krr(x, x, np.ones(3), bad)
 
 
 def test_krr_non_finite_solve_raises():

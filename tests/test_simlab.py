@@ -275,6 +275,14 @@ def test_config_validation():
         ExperimentConfig(instance=builtin_doc(), estimators=("mystery",))
 
 
+def test_config_from_json_rejects_an_unknown_key_by_name():
+    with pytest.raises(ValueError, match=r"unknown config key 'rep'"):
+        ExperimentConfig.from_json({"instance": builtin_doc(), "rep": 5, "thread": 4})
+    config = ExperimentConfig.from_json({"instance": builtin_doc(), "reps": 5.0, "threads": "4"})
+    assert config == ExperimentConfig(instance=builtin_doc(), reps=5, threads=4)
+    assert type(config.reps) is int and type(config.threads) is int
+
+
 # ---------------------------------------------------------------------------
 # results table I/O
 # ---------------------------------------------------------------------------
