@@ -9,12 +9,10 @@ from .core import (
     FiniteStates,
     ProblemInstance,
     PropensityError,
-    StateActionFunction,
     efficient_variance,
     excess_variance,
     optimal_auxiliary,
     sample_dataset,
-    state_action_function,
     true_functional,
     weighted_norm,
 )

@@ -274,8 +274,10 @@ def critical_radius(
     if spec.class_id == "singleton-zero":
         return 0.0
     if kind == "r":
-        if alpha1 is None or alpha2 is None or alpha1 <= 0 or alpha2 <= 0:
-            raise ValueError("kind 'r' requires positive small-ball constants")
+        for name, value in (("alpha1", alpha1), ("alpha2", alpha2)):
+            if value is None or not 0.0 < value < np.inf:
+                raise ValueError(f"kind 'r' requires positive small-ball constants; "
+                                 f"{name} is {value}, not a positive finite number")
         threshold = alpha1 * alpha2 / 32.0
 
     if source == "closed-form-linear":
@@ -331,6 +333,8 @@ def small_ball_estimate(
     """MC estimate of P[ |g h / pi|(X, A) >= alpha1 * ||h||_w ] from ``reps``
     draws."""
     _require_samples(reps=reps)
+    if not np.isfinite(alpha1):
+        raise ValueError(f"alpha1 is {alpha1}, not finite")
     h_norm = weighted_norm(instance, h)
     if h_norm == 0.0:
         raise ValueError("small-ball probability undefined for ||h||_w = 0")
@@ -374,10 +378,10 @@ class ShatteringCertificate:
     def n_points(self) -> int:
         return int(self.points.shape[0])
 
-    def pattern_blocks(self, seed: int = 0):
+    def pattern_blocks(self):
         """The checked sign patterns as (m, n_points) blocks, m <= PATTERN_BLOCK:
         all 2^d in ``itertools.product((-1.0, 1.0), repeat=d)`` order for
-        d <= EXHAUSTIVE_PATTERN_LIMIT, else RANDOM_PATTERN_COUNT random ones."""
+        d <= EXHAUSTIVE_PATTERN_LIMIT, else RANDOM_PATTERN_COUNT from one fixed stream."""
         d = self.n_points
         if d <= EXHAUSTIVE_PATTERN_LIMIT:
             shifts = np.arange(d - 1, -1, -1)  # bits of a counter, most significant first
@@ -385,17 +389,17 @@ class ShatteringCertificate:
                 idx = np.arange(start, min(start + PATTERN_BLOCK, 2**d))
                 yield ((idx[:, None] >> shifts) & 1) * 2.0 - 1.0
         else:
-            rng = make_generator(mix_seed(seed, "patterns"))
+            rng = make_generator(mix_seed(0, "patterns"))
             for start in range(0, RANDOM_PATTERN_COUNT, PATTERN_BLOCK):
                 m = min(PATTERN_BLOCK, RANDOM_PATTERN_COUNT - start)
                 yield rng.integers(0, 2, size=(m, d)) * 2.0 - 1.0
 
-    def verify(self, tol: float = VERIFY_TOL, seed: int = 0) -> bool:
-        """Check every (or 10^4 random) sign pattern against the witness, by block."""
-        for zeta in self.pattern_blocks(seed=seed):
+    def verify(self) -> bool:
+        """Check every (or 10^4 random) sign pattern's witness to ``VERIFY_TOL``, by block."""
+        for zeta in self.pattern_blocks():
             values = np.asarray(self.evaluate(self.witness(zeta), self.points), dtype=float)
             target = self.thresholds + zeta * self.scale
-            if np.max(np.abs(values - target)) > tol:
+            if np.max(np.abs(values - target)) > VERIFY_TOL:
                 return False
         return True
 

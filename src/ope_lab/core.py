@@ -38,12 +38,11 @@ from typing import Any, Callable, NamedTuple, Union
 
 import numpy as np
 
-from .quadrature import adaptive_simpson, DEFAULT_TOL
+from .quadrature import adaptive_simpson
 from .rng import make_generator
 
 PROBE_GRID_SIZE = 64
 NORMALIZATION_TOL = 1e-10
-ZERO_MEAN_TOL = 1e-8
 
 
 class PropensityError(ValueError):
@@ -165,7 +164,7 @@ class Continuous1D:
         dens = np.asarray(self.density(grid), dtype=float)
         if np.any(dens < 0):
             raise ValueError("density must be non-negative on [0, 1]")
-        mass = adaptive_simpson(self.density, 0.0, 1.0, tol=DEFAULT_TOL)
+        mass = adaptive_simpson(self.density, 0.0, 1.0)
         if abs(mass - 1.0) > 1e-8:
             raise ValueError(f"density integrates to {mass!r}, not 1 within 1e-8")
 
@@ -314,10 +313,11 @@ class ProblemInstance:
         vals = self._pair_grid(fn, x)
         return (pmat * vals) @ self.actions.base_weights
 
-    def state_expectation(self, fn, tol: float = DEFAULT_TOL) -> float | np.ndarray:
+    def state_expectation(self, fn) -> float | np.ndarray:
         """E_X[fn(X)] for a vectorized state function: a float when ``fn``
         maps m states to m values, an array of shape (...) when it returns
-        shape (m, ...), with every component on one quadrature mesh."""
+        shape (m, ...), with every component on one quadrature mesh to the
+        absolute tolerance ``quadrature.DEFAULT_TOL``."""
         if isinstance(self.states, FiniteStates):
             vals = np.asarray(fn(self.states.values), dtype=float)
             value = np.tensordot(self.states.probs, vals, axes=1)
@@ -325,7 +325,7 @@ class ProblemInstance:
         dens = self.states.density
         # the density scales axis 0, the states' axis
         return adaptive_simpson(
-            lambda x: (dens(x) * np.asarray(fn(x), dtype=float).T).T, 0.0, 1.0, tol=tol
+            lambda x: (dens(x) * np.asarray(fn(x), dtype=float).T).T, 0.0, 1.0
         )
 
     # -- construction from tables -------------------------------------------
@@ -436,43 +436,6 @@ class _TablePropensity:
     def __call__(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return self.table[_lookup_index(self.states, x)]
-
-
-@dataclass(frozen=True)
-class StateActionFunction:
-    """Evaluable h(x, a), optionally certified to have zero conditional mean.
-
-    The flag asserts <h(x, .), pi(x, .)> = 0 for all x; it is verified on the
-    probe grid whenever set through ``state_action_function``.
-    """
-
-    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    zero_conditional_mean: bool = False
-    name: str = ""
-
-    def __call__(self, x, a):
-        return self.fn(x, a)
-
-
-def verify_zero_conditional_mean(instance: ProblemInstance, h) -> float:
-    """Max |<h(x, .), pi(x, .)>| over the probe grid."""
-    return float(np.max(np.abs(instance.conditional_mean(h, instance.probe_states()))))
-
-
-def state_action_function(
-    fn, instance: ProblemInstance | None = None, zero_conditional_mean: bool = False, name: str = ""
-) -> StateActionFunction:
-    """Wrap a callable; verify the zero-mean flag against an instance if set."""
-    if zero_conditional_mean:
-        if instance is None:
-            raise ValueError("zero-mean flag requires an instance to verify against")
-        worst = verify_zero_conditional_mean(instance, fn)
-        if worst > ZERO_MEAN_TOL:
-            raise ValueError(
-                f"conditional mean reaches {worst:.3e} on the probe grid, "
-                f"exceeding {ZERO_MEAN_TOL}"
-            )
-    return StateActionFunction(fn=fn, zero_conditional_mean=zero_conditional_mean, name=name)
 
 
 @dataclass(frozen=True)
@@ -627,14 +590,12 @@ def weight_inner(instance: ProblemInstance, mu, x: np.ndarray) -> np.ndarray:
     )
 
 
-def true_functional(instance: ProblemInstance, tol: float = DEFAULT_TOL) -> float:
+def true_functional(instance: ProblemInstance) -> float:
     """tau = sum_a lambda(a) E_X[g(X, a) mu(X, a)], computed exactly."""
-    return instance.state_expectation(
-        lambda x: weight_inner(instance, instance.outcome_mean, x), tol=tol
-    )
+    return instance.state_expectation(lambda x: weight_inner(instance, instance.outcome_mean, x))
 
 
-def weighted_norm(instance: ProblemInstance, h, tol: float = DEFAULT_TOL) -> float:
+def weighted_norm(instance: ProblemInstance, h) -> float:
     """||h||_w = sqrt( sum_a lambda(a) E_X[g^2/pi * h^2] )."""
 
     def integrand(x):
@@ -644,25 +605,22 @@ def weighted_norm(instance: ProblemInstance, h, tol: float = DEFAULT_TOL) -> flo
         hvals = instance._pair_grid(h, x)
         return (gvals**2 / pmat * hvals**2) @ instance.actions.base_weights
 
-    val = instance.state_expectation(integrand, tol=tol)
+    val = instance.state_expectation(integrand)
     return float(np.sqrt(max(val, 0.0)))
 
 
-def efficient_variance(instance: ProblemInstance, tol: float = DEFAULT_TOL) -> float:
+def efficient_variance(instance: ProblemInstance) -> float:
     """Semiparametric variance floor: Var_X(<g, mu>) + ||sd||_w^2."""
     ip = lambda x: weight_inner(instance, instance.outcome_mean, x)
-    mean = instance.state_expectation(ip, tol=tol)
-    second = instance.state_expectation(lambda x: ip(x) ** 2, tol=tol)
+    mean = instance.state_expectation(ip)
+    second = instance.state_expectation(lambda x: ip(x) ** 2)
     between = max(second - mean**2, 0.0)
-    return float(between + weighted_norm(instance, instance.outcome_sd, tol=tol) ** 2)
+    return float(between + weighted_norm(instance, instance.outcome_sd) ** 2)
 
 
-def optimal_auxiliary(instance: ProblemInstance) -> StateActionFunction:
-    """Variance-minimizing auxiliary: g*mu/pi minus its action inner product.
-
-    The result has zero conditional mean under the propensity by construction;
-    the flag is verified on the probe grid.
-    """
+def optimal_auxiliary(instance: ProblemInstance) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Variance-minimizing auxiliary (x, a) -> g*mu/pi minus its action inner
+    product, which has zero conditional mean under the propensity."""
     g, mu = instance.weight_fn, instance.outcome_mean
 
     def fn(x, a):
@@ -680,9 +638,7 @@ def optimal_auxiliary(instance: ProblemInstance) -> StateActionFunction:
         ip = weight_inner(instance, mu, flat_x)
         return (lead - ip).reshape(xb.shape)
 
-    return state_action_function(
-        fn, instance=instance, zero_conditional_mean=True, name="optimal-auxiliary"
-    )
+    return fn
 
 
 class ExcessVariance(NamedTuple):
@@ -690,9 +646,7 @@ class ExcessVariance(NamedTuple):
     gap: float
 
 
-def excess_variance(
-    instance: ProblemInstance, mubar, tol: float = DEFAULT_TOL
-) -> ExcessVariance:
+def excess_variance(instance: ProblemInstance, mubar) -> ExcessVariance:
     """Mean conditional variance of (g/pi)(mu - mubar) given the state.
 
     Returns the pair (value, gap) where gap = ||mubar - mu||_w^2 - value
@@ -703,10 +657,8 @@ def excess_variance(
     def diff(x, a):
         return np.asarray(mu(x, a), dtype=float) - np.asarray(mubar(x, a), dtype=float)
 
-    norm_sq = weighted_norm(instance, diff, tol=tol) ** 2
-    gap = instance.state_expectation(
-        lambda x: weight_inner(instance, diff, x) ** 2, tol=tol
-    )
+    norm_sq = weighted_norm(instance, diff) ** 2
+    gap = instance.state_expectation(lambda x: weight_inner(instance, diff, x) ** 2)
     gap = max(float(gap), 0.0)
     return ExcessVariance(value=max(norm_sq - gap, 0.0), gap=gap)
 

@@ -260,6 +260,7 @@ def _fit_first_stage(
             x, y, w_train, grid=spec.lambda_grid, folds=spec.folds, seed=seed
         )
         model = regression.fit_weighted_krr(x, y, w_train, lam)
+        model.regressor_id = spec.regressor_id
 
         def predict(xq, aq, _m=model):
             xq = np.asarray(xq, dtype=float)
@@ -289,15 +290,8 @@ def _fit_first_stage(
     else:  # pragma: no cover - guarded by FirstStageSpec
         raise ValueError(spec.regressor_id)
 
-    if spec.regressor_id == "weighted-isotonic":
-
-        def predict(xq, aq, _m=model, _fm=feature_map):
-            return _m.predict(_fm(xq, aq))
-
-    else:
-
-        def predict(xq, aq, _m=model, _fm=feature_map):
-            return _m.predict_features(_fm(xq, aq))
+    def predict(xq, aq, _m=model, _fm=feature_map):
+        return _m.predict(_fm(xq, aq))
 
     return FittedOutcomeModel(
         regressor_id=spec.regressor_id, predict_xa=predict, model=model

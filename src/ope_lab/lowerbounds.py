@@ -22,7 +22,7 @@ from typing import Any
 
 import numpy as np
 
-from .core import FiniteStates, ProblemInstance
+from .core import FiniteStates, ProblemInstance, _require_finite_cells
 from .rng import substream
 
 
@@ -257,7 +257,7 @@ def sigma_perturbed_pair(
     """
     if n < 1:
         raise ValueError("n must be positive")
-    _, probs, lam, pmat, gmat, _, sdmat = _tables(instance)
+    xs, probs, lam, pmat, gmat, _, sdmat = _tables(instance)
     sigma_norm_sq = float(probs @ ((gmat**2 / pmat * sdmat**2) @ lam))
     sigma_norm = float(np.sqrt(sigma_norm_sq))
     if sigma_norm == 0.0:
@@ -285,6 +285,7 @@ def sigma_perturbed_pair(
     }
     if delta is not None:
         dmat = instance._grid(delta)
+        _require_finite_cells("delta", dmat, xs, instance.actions.labels)
         required = gmat * sdmat**2 / (pmat * sigma_norm)
         ok = bool(np.all(np.sqrt(n) * dmat >= required - 1e-12))
         checks["neighborhood_large_enough"] = ok
@@ -322,8 +323,9 @@ def delta_mixture(
     """
     if reps < 1:
         raise ValueError("reps must be positive")
-    _, probs, lam, pmat, gmat, mumat, _ = _tables(instance)
+    xs, probs, lam, pmat, gmat, mumat, _ = _tables(instance)
     dmat = instance._grid(delta)
+    _require_finite_cells("delta", dmat, xs, instance.actions.labels)
     if np.any(dmat <= 0):
         raise ValueError("delta must be strictly positive on the support")
 

@@ -152,7 +152,7 @@ class LinearModel:
     kkt_residual: float = 0.0
     radius: float | None = None
 
-    def predict_features(self, features) -> np.ndarray:
+    def predict(self, features) -> np.ndarray:
         return np.asarray(features, dtype=float) @ self.theta
 
     def to_text(self) -> str:
@@ -206,6 +206,13 @@ def _require_finite(**arrays) -> None:
         if not finite.all():
             row = int(np.argwhere(~np.atleast_1d(finite))[0][0])
             raise ValueError(f"{name}[{row}] is not finite")
+
+
+def _require_non_negative(**scalars) -> None:
+    """Reject a NaN, inf or negative scalar argument, naming it; None passes."""
+    for name, value in scalars.items():
+        if value is not None and not 0.0 <= value < np.inf:
+            raise ValueError(f"{name} is {value}, not a non-negative finite number")
 
 
 def _require_ridge_levels(name: str, levels) -> None:
@@ -320,8 +327,7 @@ def fit_weighted_linear(
     if phi.ndim != 2:
         raise ValueError("features must be a 2-d array")
     _require_finite(features=phi, y=y, w=w)
-    if ridge < 0:
-        raise ValueError("ridge must be non-negative")
+    _require_non_negative(ridge=ridge, max_norm=max_norm)
     d = phi.shape[1]
     if ridge == 0.0:
         if np.linalg.matrix_rank(np.sqrt(w)[:, None] * phi) < d:
@@ -346,8 +352,7 @@ def fit_weighted_linear(
 
 def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     """Exact Euclidean projection onto the l1 ball of the given radius."""
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
+    _require_non_negative(radius=radius)
     v = np.asarray(v, dtype=float)
     if radius == 0.0:
         return np.zeros_like(v)
@@ -360,11 +365,11 @@ def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
 
 
-def _power_iteration_lmax(gram: np.ndarray, iters: int = 200) -> float:
+def _power_iteration_lmax(gram: np.ndarray) -> float:
     d = gram.shape[0]
     v = np.ones(d) / np.sqrt(d)
     lam = 0.0
-    for _ in range(iters):
+    for _ in range(200):
         nv = gram @ v
         norm = np.linalg.norm(nv)
         if norm == 0.0:
@@ -395,8 +400,7 @@ def fit_l1_constrained(
     phi = np.asarray(features, dtype=float)
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
+    _require_non_negative(radius=radius)
     d = phi.shape[1]
     if radius == 0.0:
         return LinearModel(
@@ -446,12 +450,11 @@ def fit_l1_constrained(
 # ---------------------------------------------------------------------------
 
 
-def fit_weighted_isotonic(t, y, w, clamp_unit: bool = False) -> IsotonicModel:
+def fit_weighted_isotonic(t, y, w) -> IsotonicModel:
     """Weighted pool-adjacent-violators along a scalar feature.
 
     Exact ties in t are pre-pooled by weighted mean.  The fit is the
-    right-continuous step function through the block solution; with
-    ``clamp_unit`` the levels are clipped to [0, 1].
+    right-continuous step function through the block solution.
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -478,8 +481,6 @@ def fit_weighted_isotonic(t, y, w, clamp_unit: bool = False) -> IsotonicModel:
             merged_w = wp + wv
             blocks.append([(lp * wp + lv * wv) / merged_w, merged_w, cp + cv])
     out = np.concatenate([np.full(int(c), lv) for lv, _, c in blocks])
-    if clamp_unit:
-        out = np.clip(out, 0.0, 1.0)
     return IsotonicModel(regressor_id="weighted-isotonic", knots=knots, levels=out)
 
 

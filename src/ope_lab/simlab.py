@@ -148,6 +148,20 @@ def instance_from_json(doc: dict) -> ProblemInstance:
 # ---------------------------------------------------------------------------
 
 
+def _whole_number(name: str, value) -> int:
+    """``value`` as an int; a fractional, non-finite or non-numeric value
+    raises naming the field."""
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = float("nan")
+    if not number.is_integer():
+        raise ValueError(f"{name} is {value}, not a whole number")
+    return int(number)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Grid of (estimator, sample size) Monte Carlo cells on one instance.
@@ -167,10 +181,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "estimators", tuple(self.estimators))
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        n_grid = tuple(_whole_number(f"n_grid[{i}]", n) for i, n in enumerate(self.n_grid))
+        object.__setattr__(self, "n_grid", n_grid)
         object.__setattr__(self, "lambda_grid", tuple(float(v) for v in self.lambda_grid))
         for name in ("reps", "folds", "master_seed", "threads"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+            object.__setattr__(self, name, _whole_number(name, getattr(self, name)))
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
         if list(self.n_grid) != sorted(self.n_grid):

@@ -294,10 +294,10 @@ def test_criterion_09_shattering_certificates():
     ok = True
     for p in (2, 4, 8):
         cert = hadamard_glm_shatter(p, IDENTITY_LINK, amplitude=1.0, radius=1.0)
-        ok &= cert.verify(tol=1e-10)
+        ok &= cert.verify()
     for p, s in ((4, 2), (8, 2)):
         cert = sparse_packing_shatter(p, s)
-        ok &= cert.verify(tol=1e-10)
+        ok &= cert.verify()
     _criterion(
         9,
         "single-index and sparse certificates hit every sign pattern exactly",

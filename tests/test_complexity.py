@@ -26,7 +26,12 @@ from ope_lab.complexity import (
     small_ball_estimate,
     sparse_packing_shatter,
 )
-from ope_lab.regression import resolve_feature_map
+from ope_lab.regression import (
+    fit_l1_constrained,
+    fit_weighted_linear,
+    project_l1_ball,
+    resolve_feature_map,
+)
 from ope_lab.rng import make_generator, mix_seed
 
 from conftest import make_d1
@@ -294,6 +299,31 @@ def test_plain_radius_rejects_nonpositive_small_ball_constants():
     inst = make_d1(1.0)
     with pytest.raises(ValueError, match="positive small-ball"):
         critical_radius(inst, l1_spec(), m=10, kind="r", alpha1=0.0, alpha2=1.0)
+
+
+PHI, Y, W = np.column_stack([np.ones(3), np.arange(3.0)]), np.array([10.0, 1.0, 20.0]), np.ones(3)
+ONE = lambda x, a: np.ones(np.broadcast(x, a).shape)
+SCALAR_CALLS = {
+    "ridge": lambda v: fit_weighted_linear(PHI, Y, W, ridge=v),
+    "max_norm": lambda v: fit_weighted_linear(PHI, Y, W, max_norm=v),
+    "radius": lambda v: fit_l1_constrained(PHI, Y, W, radius=v),
+    "radius-projection": lambda v: project_l1_ball(np.ones(2), v),
+    "alpha1": lambda v: small_ball_estimate(make_d1(1.0), ONE, alpha1=v, reps=10),
+    "alpha1-radius": lambda v: critical_radius(
+        make_d1(1.0), l1_spec(), m=10, kind="r", alpha1=v, alpha2=1.0, reps=2
+    ),
+    "alpha2-radius": lambda v: critical_radius(
+        make_d1(1.0), l1_spec(), m=10, kind="r", alpha1=1.0, alpha2=v, reps=2
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=repr)
+@pytest.mark.parametrize("case", sorted(SCALAR_CALLS))
+def test_scalar_arguments_reject_nan_and_inf_by_name(case, bad):
+    name = case.split("-")[0]
+    with pytest.raises(ValueError, match=rf"\b{name} is {bad}"):
+        SCALAR_CALLS[case](bad)
 
 
 def test_closed_form_plain_radius_threshold():
@@ -599,7 +629,7 @@ def test_verify_reaches_the_last_pattern_of_the_last_block(name):
 def test_random_blocks_are_the_per_pattern_draws():
     cert = hadamard_glm_shatter(32)  # verifies 10^4 random patterns itself
     assert cert.n_points > EXHAUSTIVE_PATTERN_LIMIT and cert.verify()
-    blocks = list(cert.pattern_blocks(seed=0))
+    blocks = list(cert.pattern_blocks())
     assert all(1 <= len(block) <= PATTERN_BLOCK for block in blocks)
     rng = make_generator(mix_seed(0, "patterns"))
     draws = [rng.integers(0, 2, size=32) * 2.0 - 1.0 for _ in range(RANDOM_PATTERN_COUNT)]

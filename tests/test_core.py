@@ -11,7 +11,6 @@ from ope_lab.core import (
     finite_instance_from_json,
     instance_to_json,
     read_dataset_csv,
-    verify_zero_conditional_mean,
     write_dataset_csv,
 )
 from ope_lab.quadrature import QuadratureError, adaptive_simpson
@@ -445,7 +444,6 @@ def test_constant_outcome_with_contrast_weight_has_zero_variance():
 
 def test_optimal_auxiliary_d1_value(d1):
     fstar = ol.optimal_auxiliary(d1)
-    assert fstar.zero_conditional_mean
     val = fstar(np.array([0.0]), np.array([1.0]))[0]
     assert abs(val - 9.0) < 1e-12
 
@@ -504,9 +502,7 @@ def test_optimal_auxiliary_minimizes_exact_variance():
 
 def test_zero_mean_flag_verification(d1):
     fstar = ol.optimal_auxiliary(d1)
-    assert verify_zero_conditional_mean(d1, fstar) <= 1e-8
-    with pytest.raises(ValueError):
-        ol.state_action_function(const_fn(1.0), instance=d1, zero_conditional_mean=True)
+    assert np.max(np.abs(d1.conditional_mean(fstar, d1.probe_states()))) <= 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,17 @@ def test_sigma_pair_neighborhood_flag():
     ]
 
 
+def test_non_finite_delta_names_its_cell():
+    inst = make_d1(1.0)
+    for bad in (np.nan, np.inf):
+        delta = lambda x, a: np.where((x == 1.0) & (a == 0.0), bad, 1.0)
+        message = rf"^delta is not finite at \(state 1\.0, action 0\.0\): {bad}$"
+        with pytest.raises(ValueError, match=message):
+            sigma_perturbed_pair(inst, 64, delta=delta)
+        with pytest.raises(ValueError, match=message):
+            delta_mixture(inst, delta, s=0.01, reps=2)
+
+
 # ---------------------------------------------------------------------------
 # mixture-vs-mixture
 # ---------------------------------------------------------------------------

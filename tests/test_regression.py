@@ -318,13 +318,6 @@ def test_pava_step_function_is_right_continuous():
     assert model.predict(np.array([5.0]))[0] == 1.0
 
 
-def test_pava_clamp_flag():
-    model = fit_weighted_isotonic(
-        np.array([0.0, 1.0]), np.array([-1.0, 2.0]), np.ones(2), clamp_unit=True
-    )
-    assert np.allclose(model.levels, [0.0, 1.0])
-
-
 def test_pava_matches_grid_dp():
     rng = np.random.default_rng(10)
     for _ in range(10):

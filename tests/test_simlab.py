@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import json
 import pickle
 
@@ -281,6 +282,33 @@ def test_config_from_json_rejects_an_unknown_key_by_name():
     config = ExperimentConfig.from_json({"instance": builtin_doc(), "reps": 5.0, "threads": "4"})
     assert config == ExperimentConfig(instance=builtin_doc(), reps=5, threads=4)
     assert type(config.reps) is int and type(config.threads) is int
+
+
+@pytest.mark.parametrize("key, value, name", [
+    ("reps", 2.5, "reps"),
+    ("reps", "two", "reps"),
+    ("threads", 1.9, "threads"),
+    ("folds", float("inf"), "folds"),
+    ("master_seed", float("nan"), "master_seed"),
+    ("n_grid", [50, 100.7], r"n_grid\[1\]"),
+    ("n_grid", [float("nan")], r"n_grid\[0\]"),
+])
+def test_config_rejects_counts_that_are_not_whole_numbers(key, value, name):
+    with pytest.raises(ValueError, match=rf"^{name} is .+, not a whole number$"):
+        ExperimentConfig.from_json({"instance": builtin_doc(), key: value})
+
+
+# a change to any estimate or to the CSV layout changes this digest
+PINNED_RESULTS_SHA256 = "ea25a1be1ba4d6fe853ce8da03d74039dc6efa7a36b4b04c0432a48a1f8b93eb"
+
+
+def test_results_csv_bytes_are_pinned():
+    config = ExperimentConfig(
+        instance=builtin_doc(propensity="pi1", gamma=0.0, sigma0=1.0, pi_min=0.005),
+        estimators=simlab.ESTIMATOR_IDS, n_grid=(100, 200), reps=4, master_seed=1, threads=1,
+    )
+    csv = run_experiment(config).to_csv()
+    assert hashlib.sha256(csv.encode()).hexdigest() == PINNED_RESULTS_SHA256
 
 
 # ---------------------------------------------------------------------------
