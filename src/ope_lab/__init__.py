@@ -20,7 +20,6 @@ from .estimators import (
     EstimateReport,
     FirstStageSpec,
     TwoStageReport,
-    asymptotic_variance_estimate,
     generic_estimate,
     ipw_estimate,
     oracle_estimate,
@@ -30,7 +29,6 @@ from .quadrature import QuadratureError, adaptive_simpson
 from .regression import (
     cross_validate_lambda,
     fit_l1_constrained,
-    fit_unweighted_krr,
     fit_weighted_isotonic,
     fit_weighted_krr,
     fit_weighted_linear,

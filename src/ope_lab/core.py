@@ -18,10 +18,15 @@ A finite instance is its tables: construction evaluates the propensity,
 weight, mean and sd on every (state, action) pair, and the instance is then
 sampled and scored by (state index, action index).  A draw or an
 estimator locates its pairs once (``ProblemInstance.locate``), as ``Pairs``
-that carry each pair's action index and, on a finite instance, its state
-index; any other function (an auxiliary, a first-stage fit) is evaluated
-once per call on the same grid and read by index.  Datasets carry no
-indices.  Continuous instances are evaluated at the pairs' own states.
+that carry each pair's action index, the propensity rows at its states and,
+on a finite instance, its state index; any other function (an auxiliary, a
+first-stage fit) is evaluated once per call on the same grid and read by
+index.  Continuous instances are evaluated at the pairs' own states.
+
+A dataset from ``sample_dataset`` keeps the pairs it was drawn as, linked to
+the instance object that drew it: an estimator scoring it against that same
+object reuses them, and against any other instance locates the pairs again.
+``dataclasses.replace`` and pickling drop the link.
 
 Evaluable fields (propensity, weight_fn, outcome_mean, outcome_sd) must be
 vectorized over numpy arrays with standard broadcasting.  Action identifiers
@@ -42,6 +47,11 @@ from .quadrature import adaptive_simpson
 from .rng import make_generator
 
 PROBE_GRID_SIZE = 64
+# from this many states on, ``_pair_grid`` copies its action-major values into
+# the (n, K) layout one action at a time: numpy's transposing copy runs its
+# inner loop over the K actions (at n = 8000 and K = 2 it took 30-60 us
+# against 10 us, while one Python step per action costs 1 us; 2-core machine)
+COLUMN_COPY_MIN = 256
 NORMALIZATION_TOL = 1e-10
 
 
@@ -182,13 +192,15 @@ StateDistribution = Union[FiniteStates, Continuous1D]
 
 class Pairs(NamedTuple):
     """(state, action) pairs located in an instance: ``ai`` indexes the
-    action space and ``si`` a finite instance's states, None on a continuous
-    instance, whose functions are evaluated at the states ``x``."""
+    action space, ``si`` a finite instance's states (None on a continuous
+    instance, whose functions are evaluated at the states ``x``), and ``p``
+    holds the propensity rows pi(x_i, .), shape (n, K)."""
 
     x: np.ndarray
     a: np.ndarray
     ai: np.ndarray
     si: np.ndarray | None
+    p: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -260,11 +272,23 @@ class ProblemInstance:
         return np.linspace(0.0, 1.0, PROBE_GRID_SIZE)
 
     def _pair_grid(self, fn, x: np.ndarray) -> np.ndarray:
-        """Evaluate fn on the (state grid) x (action) product, shape (n, K)."""
+        """Evaluate fn on the (state grid) x (action) product, as a
+        C-contiguous (n, K) array.
+
+        fn runs on the action-major (K, n) grid, so that a broadcast inside
+        it loops over the states, not over the few actions.
+        """
         x = np.asarray(x, dtype=float)
-        return np.asarray(
-            fn(x[:, None], self.actions.labels[None, :]), dtype=float
-        ) * np.ones((x.size, self.actions.n_actions))
+        shape = (self.actions.n_actions, x.size)
+        vals = np.asarray(fn(x[None, :], self.actions.labels[:, None]), dtype=float)
+        if vals.shape != shape:
+            vals = vals * np.ones(shape)
+        if x.size < COLUMN_COPY_MIN:
+            return vals.T.copy()
+        out = np.empty(shape[::-1])
+        for k, row in enumerate(vals):
+            out[:, k] = row
+        return out
 
     def propensity_at(self, x: np.ndarray, a: np.ndarray) -> np.ndarray:
         """pi(x_i, a_i) for paired state and action vectors."""
@@ -282,16 +306,18 @@ class ProblemInstance:
         return idx
 
     def locate(self, x: np.ndarray, a: np.ndarray) -> Pairs:
-        """The pairs (x_i, a_i) with their action indices and, on a finite
-        instance, their state indices into its grids.
+        """The pairs (x_i, a_i) with their action indices, the propensity
+        rows at their states (one evaluation) and, on a finite instance,
+        their state indices into its grids.
 
         An unknown action or state raises as a table lookup does.
         """
         x, a = np.asarray(x, dtype=float), np.asarray(a, dtype=float)
         ai = self.action_index(a)
-        finite = isinstance(self.states, FiniteStates)
-        si = _lookup_index(self.states._keys, x) if finite else None
-        return Pairs(x, a, ai, si)
+        if isinstance(self.states, FiniteStates):
+            si = _lookup_index(self.states._keys, x)
+            return Pairs(x, a, ai, si, self._grid(self.propensity)[si])
+        return Pairs(x, a, ai, None, np.asarray(self.propensity(x), dtype=float))
 
     def _grid(self, fn) -> np.ndarray:
         """fn on every (state, action) pair of a finite instance, shape (S, K):
@@ -440,13 +466,22 @@ class _TablePropensity:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Observed (state, action, outcome) triples with provenance."""
+    """Observed (state, action, outcome) triples with provenance.
+
+    A sampled dataset also holds the instance object that drew it and the
+    ``Pairs`` it was drawn as (see ``_located``); that link is not a field,
+    so it is not compared, shown or copied by ``dataclasses.replace``, and
+    pickling drops it.  Its arrays are not to be written in place.
+    """
 
     x: np.ndarray
     a: np.ndarray
     y: np.ndarray
     seed: int
     instance_id: str
+
+    # (instance, pairs) of a sampled dataset
+    _drawn = None
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -469,6 +504,21 @@ class Dataset:
 
     def __len__(self) -> int:
         return int(self.x.size)
+
+    def __getstate__(self):
+        # builtin instances hold closures, which do not pickle
+        state = dict(self.__dict__)
+        state.pop("_drawn", None)
+        return state
+
+
+def _located(instance: ProblemInstance, data: Dataset) -> Pairs:
+    """The dataset's pairs in the instance: the pairs it was drawn as when
+    ``instance`` is the object that sampled it, else located afresh."""
+    drawn = data._drawn
+    if drawn is not None and drawn[0] is instance:
+        return drawn[1]
+    return instance.locate(data.x, data.a)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +566,7 @@ def _draw_pairs(instance: ProblemInstance, n: int, rng: np.random.Generator) -> 
             f"propensity at sampled state {x[worst]} has mass {acc[worst]}",
             state=float(x[worst]),
         )
-    return Pairs(x, instance.actions.labels[ai], ai, si)
+    return Pairs(x, instance.actions.labels[ai], ai, si, pmat)
 
 
 def sample_dataset(instance: ProblemInstance, n: int, seed: int) -> Dataset:
@@ -532,27 +582,30 @@ def sample_dataset(instance: ProblemInstance, n: int, seed: int) -> Dataset:
     mu = _pair_values(instance, instance.outcome_mean, pairs)
     sd = _pair_values(instance, instance.outcome_sd, pairs)
     y = mu + sd * rng.standard_normal(n)
-    return Dataset(x=pairs.x, a=pairs.a, y=y, seed=int(seed), instance_id=instance.instance_id)
+    data = Dataset(x=pairs.x, a=pairs.a, y=y, seed=int(seed), instance_id=instance.instance_id)
+    object.__setattr__(data, "_drawn", (instance, pairs))
+    return data
 
 
 def _pair_values(instance: ProblemInstance, fn, pairs: Pairs) -> np.ndarray:
-    """fn(x_i, a_i) for every pair; ``fn`` may be the propensity.  A finite
-    instance reads its grid by index, a continuous one evaluates fn at the
-    pairs."""
+    """fn(x_i, a_i) for every pair; ``fn`` may be the propensity, read from
+    the pairs' rows.  A finite instance reads its grid by index, a
+    continuous one evaluates fn at the pairs."""
+    if fn is instance.propensity:
+        return pairs.p[np.arange(pairs.x.size), pairs.ai]
     if pairs.si is not None:
         return instance._grid(fn)[pairs.si, pairs.ai]
-    if fn is instance.propensity:
-        return np.asarray(fn(pairs.x), dtype=float)[np.arange(pairs.x.size), pairs.ai]
-    return np.asarray(fn(pairs.x, pairs.a), dtype=float) * np.ones(pairs.x.size)
+    vals = np.asarray(fn(pairs.x, pairs.a), dtype=float)
+    return vals if vals.shape == pairs.x.shape else vals * np.ones(pairs.x.size)
 
 
 def _pair_rows(instance: ProblemInstance, fn, pairs: Pairs) -> np.ndarray:
     """fn(x_i, a) for every pair's state and every action a, shape (n, K);
-    the propensity's rows when fn is ``instance.propensity``."""
+    the pairs' propensity rows when fn is ``instance.propensity``."""
+    if fn is instance.propensity:
+        return pairs.p
     if pairs.si is not None:
         return instance._grid(fn)[pairs.si]
-    if fn is instance.propensity:
-        return np.asarray(fn(pairs.x), dtype=float)
     return instance._pair_grid(fn, pairs.x)
 
 

@@ -29,7 +29,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import regression
-from .core import Dataset, ProblemInstance, _likelihood_ratio, _pair_rows, _values_and_rows
+from .core import Dataset, ProblemInstance, _likelihood_ratio, _located, _pair_rows, _values_and_rows
 from .rng import mix_seed
 
 REPORT_CSV_HEADER = "estimator_id,n,seed,tau_hat,plugin_variance"
@@ -149,8 +149,9 @@ class TwoStageReport(EstimateReport):
 
 
 def _observed(instance: ProblemInstance, data: Dataset):
-    """The observed pairs, located once per estimator call, and g/pi there."""
-    pairs = instance.locate(data.x, data.a)
+    """The observed pairs, as drawn or located once per estimator call, and
+    g/pi there."""
+    pairs = _located(instance, data)
     return pairs, _likelihood_ratio(instance, pairs)
 
 
@@ -222,16 +223,6 @@ def oracle_estimate(data: Dataset, instance: ProblemInstance) -> EstimateReport:
     return _report("oracle", data, _influence(instance, ratio, data.y, g_rows, mu_obs, mu_rows))
 
 
-def asymptotic_variance_estimate(
-    data: Dataset, mu_fn, instance: ProblemInstance
-) -> float:
-    """Sample variance of the influence terms g/pi (y - muhat) + <g, muhat>."""
-    pairs, ratio = _observed(instance, data)
-    g_rows = _pair_rows(instance, instance.weight_fn, pairs)
-    mu_obs, mu_rows = _values_and_rows(instance, mu_fn, pairs)
-    return _mean_and_variance(_influence(instance, ratio, data.y, g_rows, mu_obs, mu_rows))[1]
-
-
 # ---------------------------------------------------------------------------
 # Two-stage estimator
 # ---------------------------------------------------------------------------
@@ -259,8 +250,16 @@ def _fit_first_stage(
         lam = regression.cross_validate_lambda(
             x, y, w_train, grid=spec.lambda_grid, folds=spec.folds, seed=seed
         )
-        model = regression.fit_weighted_krr(x, y, w_train, lam)
-        model.regressor_id = spec.regressor_id
+        if np.any(w_train > 0):
+            model = regression.fit_weighted_krr(x, y, w_train, lam)
+            model.regressor_id = spec.regressor_id
+        else:
+            # with no weighted row the ridge objective's exact minimizer is
+            # f = 0; cross-validation tied and chose the largest level
+            model = regression.KernelRidgeModel(
+                spec.regressor_id, knots=np.zeros(1), values=np.zeros(1), lambda_reg=lam,
+                anchors=x, targets=y, weights=w_train,
+            )
 
         def predict(xq, aq, _m=model):
             xq = np.asarray(xq, dtype=float)

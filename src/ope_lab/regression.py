@@ -296,14 +296,6 @@ def fit_weighted_krr(x, y, w, lambda_reg: float) -> KernelRidgeModel:
     )
 
 
-def fit_unweighted_krr(x, y, lambda_reg: float) -> KernelRidgeModel:
-    """Standard kernel ridge regression: the weighted fit at unit weights."""
-    x = np.asarray(x, dtype=float)
-    model = fit_weighted_krr(x, np.asarray(y, dtype=float), np.ones_like(x), lambda_reg)
-    model.regressor_id = "unweighted-krr"
-    return model
-
-
 # ---------------------------------------------------------------------------
 # Weighted linear least squares
 # ---------------------------------------------------------------------------

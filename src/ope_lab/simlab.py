@@ -99,7 +99,10 @@ def build_builtin_instance(
         return np.asarray(a, dtype=float) * _tent(x)
 
     def outcome_sd(x, a):
-        return np.asarray(a, dtype=float) * sigma0 * curve(np.asarray(x, dtype=float)) ** (gamma / 2.0)
+        x = np.asarray(x, dtype=float)
+        if gamma == 0.0:  # pi ** 0.0 is exactly 1: the curve is not needed
+            return np.asarray(a, dtype=float) * sigma0 * np.ones_like(x)
+        return np.asarray(a, dtype=float) * sigma0 * curve(x) ** (gamma / 2.0)
 
     instance_id = f"missing-data-{propensity}-gamma{gamma:g}-sigma{sigma0:g}"
     return ProblemInstance(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ope_lab as ol
-from ope_lab import core, simlab
+from ope_lab import core, estimators, simlab
 from ope_lab.core import (
     dataset_to_csv,
     finite_instance_from_json,
@@ -280,13 +280,63 @@ def test_sample_dataset_draw_is_pinned():
 def test_pair_draw_is_rng_choice_then_a_cumulative_sum():
     # five states, four actions with unequal base weights
     inst = instance_from_random_tables(random_finite_tables(np.random.default_rng(3), 5, 4))
-    _, _, ai, si = core._draw_pairs(inst, 4000, make_generator(11))
+    _, _, ai, si, _ = core._draw_pairs(inst, 4000, make_generator(11))
     rng = make_generator(11)
     si_want = rng.choice(5, size=4000, p=inst.states.probs)
     joint = inst.propensity.table[si_want] * inst.actions.base_weights
     ai_want = np.minimum((np.cumsum(joint, axis=1) < rng.random(4000)[:, None]).sum(axis=1), 3)
     assert np.array_equal(si, si_want) and np.array_equal(ai, ai_want)
     assert set(ai.tolist()) == {0, 1, 2, 3}
+
+
+def _three_action_instance():
+    # three actions with unequal base weights: lambda-mass 1 in every row
+    return ol.ProblemInstance.from_tables(
+        states=[0.0, 0.5, 1.0],
+        probs=[0.3, 0.3, 0.4],
+        actions=[0.0, 1.0, 2.0],
+        base_weights=[1.0, 0.5, 2.0],
+        propensity_table=[[0.4, 0.4, 0.2], [0.2, 0.8, 0.2], [0.5, 0.2, 0.2]],
+        weight_table=[[0.0, 1.0, 1.0], [0.0, 1.0, -1.0], [0.0, 2.0, 1.0]],
+        outcome_mean_table=[[1.0, 2.0, 0.5], [0.0, 3.0, -1.0], [2.0, 1.0, 0.0]],
+        outcome_sd_table=[[0.5, 1.0, 0.2], [0.3, 0.3, 0.3], [1.0, 0.1, 0.7]],
+    )
+
+
+def test_pairs_carry_the_propensity_rows_of_their_states():
+    for inst in (_three_action_instance(), simlab.build_builtin_instance("pi2", gamma=0.5)):
+        drawn = core._draw_pairs(inst, 300, make_generator(4))
+        located = inst.locate(drawn.x, drawn.a)
+        want = np.asarray(inst.propensity(drawn.x), dtype=float)
+        assert np.array_equal(drawn.p, want) and np.array_equal(located.p, want)
+        assert np.array_equal(located.ai, drawn.ai)
+
+
+@pytest.mark.parametrize("case", ["gamma0", "gamma0.5", "gamma1", "three-actions"])
+def test_pair_grid_is_the_state_major_broadcast_bit_for_bit(case):
+    # sizes on both sides of core.COLUMN_COPY_MIN
+    if case == "three-actions":
+        inst = _three_action_instance()
+        x = make_generator(5).choice(inst.states.values, size=1001)
+    else:
+        inst = simlab.build_builtin_instance("pi1", gamma=float(case[5:]), sigma0=0.7)
+        x = np.concatenate([[0.0, 0.5, 1.0], make_generator(5).random(998)])
+    labels = inst.actions.labels
+    rng = make_generator(6)
+    xs = rng.random(60)
+    linear = ol.FirstStageSpec(regressor_id="weighted-linear", feature_map="bilinear-xa")
+    kernel = ol.FirstStageSpec(regressor_id="weighted-krr", lambda_grid=(0.5,))
+    fits = [
+        estimators._fit_first_stage(spec, xs, rng.choice(labels, 60), rng.normal(size=60),
+                                    rng.uniform(0.5, 2.0, 60), seed=0)
+        for spec in (linear, kernel)
+    ]
+    for fn in (inst.weight_fn, inst.outcome_mean, inst.outcome_sd, const_fn(2.0), *fits):
+        for pts in (x[:3], x[:core.COLUMN_COPY_MIN - 1], x):
+            got = inst._pair_grid(fn, pts)
+            want = np.asarray(fn(pts[:, None], labels[None, :]), dtype=float) * np.ones((pts.size, labels.size))
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
 
 
 def test_table_index_follows_the_given_state_and_action_order():

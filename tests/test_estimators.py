@@ -76,12 +76,12 @@ def test_ipw_is_the_influence_vector_at_zero(d1_noisy):
     data = ol.sample_dataset(d1_noisy, 50, seed=3)
     zero = const_fn(0.0)
     report = ol.ipw_estimate(data, d1_noisy)
-    assert report.plugin_variance == ol.asymptotic_variance_estimate(data, zero, d1_noisy)
     pairs, ratio = estimators._observed(d1_noisy, data)
     g_rows = estimators._pair_rows(d1_noisy, d1_noisy.weight_fn, pairs)
     mu_obs, mu_rows = estimators._values_and_rows(d1_noisy, zero, pairs)
     terms = estimators._influence(d1_noisy, ratio, data.y, g_rows, mu_obs, mu_rows)
     assert float(np.mean(terms)) == report.tau_hat
+    assert report.plugin_variance == estimators._mean_and_variance(terms)[1]
 
 
 @pytest.mark.parametrize("tau_hat, plugin_variance", [
@@ -379,10 +379,10 @@ def test_estimators_read_tables_in_the_given_order():
     generic_terms = ratio * y - aux(x, a) + inst.conditional_mean(aux, x)
     check(ol.generic_estimate(data, inst, aux), generic_terms)
     mu = lambda xs, aa: 0.5 + np.asarray(xs, dtype=float) * np.asarray(aa, dtype=float)
-    assert ol.asymptotic_variance_estimate(data, mu, inst) == float(
+    frozen = ol.FirstStageSpec(regressor_id="frozen", frozen_fn=mu)
+    assert ol.two_stage_estimate(data, inst, frozen, seed=0).plugin_variance == float(
         np.var(_float_influence(inst, x, a, y, mu), ddof=1)
     )
-    frozen = ol.FirstStageSpec(regressor_id="frozen", frozen_fn=mu)
     check(ol.two_stage_estimate(data, inst, frozen, seed=0), _cross_fitted(inst, data, mu, mu))
     linear = ol.FirstStageSpec(regressor_id="weighted-linear", feature_map="bilinear-xa", ridge=1e-3)
     report = ol.two_stage_estimate(data, inst, linear, seed=0)
@@ -393,7 +393,9 @@ def test_estimators_read_tables_in_the_given_order():
     lambda data, inst: ol.ipw_estimate(data, inst),
     lambda data, inst: ol.oracle_estimate(data, inst),
     lambda data, inst: ol.generic_estimate(data, inst, const_fn(1.0)),
-    lambda data, inst: ol.asymptotic_variance_estimate(data, const_fn(1.0), inst),
+    lambda data, inst: ol.two_stage_estimate(
+        data, inst, ol.FirstStageSpec(regressor_id="frozen", frozen_fn=const_fn(0.5)), seed=0
+    ),
     lambda data, inst: ol.two_stage_estimate(
         data, inst, ol.FirstStageSpec(regressor_id="frozen", frozen_fn=const_fn(1.0)), seed=0
     ),
@@ -578,20 +580,20 @@ def test_two_stage_normal_approximation():
 
 def test_plugin_variance_noiseless_truth(d1):
     data = ol.sample_dataset(d1, 200, seed=15)
-    v = ol.asymptotic_variance_estimate(data, d1.outcome_mean, d1)
+    v = ol.oracle_estimate(data, d1).plugin_variance
     inner = np.array([{0.0: 1.0, 1.0: 3.0}[x] for x in data.x])
     assert abs(v - inner.var(ddof=1)) < 1e-12
 
 
 def test_plugin_variance_truth_matches_floor(d1_noisy):
     data = ol.sample_dataset(d1_noisy, 10**5, seed=16)
-    v = ol.asymptotic_variance_estimate(data, d1_noisy.outcome_mean, d1_noisy)
+    v = ol.oracle_estimate(data, d1_noisy).plugin_variance
     assert abs(v - 6.208333333333333) / 6.208333333333333 < 0.05
 
 
 def test_plugin_variance_zero_fit_adds_excess(d1_noisy):
     data = ol.sample_dataset(d1_noisy, 10**5, seed=17)
-    v = ol.asymptotic_variance_estimate(data, const_fn(0.0), d1_noisy)
+    v = ol.ipw_estimate(data, d1_noisy).plugin_variance
     want = ol.efficient_variance(d1_noisy) + ol.excess_variance(d1_noisy, const_fn(0.0)).value
     assert abs(v - want) / want < 0.05
 
@@ -602,3 +604,90 @@ def test_report_csv_row(d1):
     row = report.csv_row()
     assert REPORT_CSV_HEADER == "estimator_id,n,seed,tau_hat,plugin_variance"
     assert row.startswith("ipw,10,18,")
+
+
+# ---------------------------------------------------------------------------
+# pairs carried by a sampled dataset
+# ---------------------------------------------------------------------------
+
+
+def _all_estimates(data, inst):
+    """(tau_hat, plugin_variance) bits of every estimator on one dataset."""
+    aux = lambda x, a: np.asarray(x, dtype=float) - 0.5 * np.asarray(a, dtype=float)
+    kernel = ol.FirstStageSpec(regressor_id="weighted-krr", lambda_grid=(0.1, 1.0, 10.0), folds=3)
+    reports = (
+        ol.ipw_estimate(data, inst),
+        ol.oracle_estimate(data, inst),
+        ol.generic_estimate(data, inst, aux),
+        ol.two_stage_estimate(data, inst, kernel, seed=3),
+    )
+    return [(r.tau_hat.hex(), r.plugin_variance.hex()) for r in reports]
+
+
+def _counting_locate(monkeypatch):
+    calls = []
+    locate = ol.ProblemInstance.locate
+
+    def counted(self, x, a):
+        calls.append(self)
+        return locate(self, x, a)
+
+    monkeypatch.setattr(ol.ProblemInstance, "locate", counted)
+    return calls
+
+
+def test_a_sampled_dataset_scores_as_its_plain_copy_against_any_instance(monkeypatch):
+    inst = simlab.build_builtin_instance("pi1", gamma=0.5)
+    data = ol.sample_dataset(inst, 300, seed=21)
+    plain = ol.Dataset(data.x, data.a, data.y, data.seed, data.instance_id)
+    calls = _counting_locate(monkeypatch)
+    # the drawing object itself, an equal rebuilt one, and another instance
+    for other in (inst, simlab.build_builtin_instance("pi1", gamma=0.5),
+                  simlab.build_builtin_instance("pi2", gamma=0.5)):
+        del calls[:]
+        assert _all_estimates(data, other) == _all_estimates(plain, other)
+        # four estimators score each dataset; the drawing object reuses its pairs
+        assert calls == [other] * (4 if other is inst else 8)
+
+
+def test_replace_and_pickle_drop_the_drawn_pairs(monkeypatch):
+    import pickle
+
+    inst = simlab.build_builtin_instance("pi2", gamma=1.0)
+    data = ol.sample_dataset(inst, 50, seed=4)
+    assert "Pairs" not in repr(data)
+    want = _all_estimates(data, inst)
+    calls = _counting_locate(monkeypatch)
+    moved = dataclasses.replace(data, x=data.x.copy())
+    back = pickle.loads(pickle.dumps(data))
+    assert np.array_equal(back.x, data.x) and np.array_equal(back.y, data.y)
+    for copy in (moved, back):
+        del calls[:]
+        assert _all_estimates(copy, inst) == want
+        assert calls == [inst] * 4
+    # a replaced state vector is looked up afresh, not read from the draw
+    shifted = dataclasses.replace(data, x=np.clip(data.x + 0.25, 0.0, 1.0))
+    assert _all_estimates(shifted, inst) != want
+
+
+def test_a_half_sample_without_weight_fits_zero_and_is_scored_as_ipw():
+    # the first half observes no outcome (a = 0, so g = 0): its fit is f = 0
+    # at the largest ridge level, and the second half is scored as IPW
+    inst = simlab.build_builtin_instance("pi1")
+    rng = np.random.default_rng(8)
+    n, n1 = 40, 20
+    x = rng.random(n)
+    a = np.r_[np.zeros(n1), np.ones(n - n1)]
+    y = a * (0.5 - np.abs(x - 0.5)) + rng.normal(size=n)
+    data = ol.Dataset(x, a, y, seed=0, instance_id=inst.instance_id)
+    for regressor in ("weighted-krr", "unweighted-krr"):
+        spec = ol.FirstStageSpec(regressor_id=regressor, lambda_grid=(0.1, 1.0, 10.0), folds=3)
+        report = ol.two_stage_estimate(data, inst, spec, seed=5)
+        fit1, fit2 = report.first_stage_models
+        assert fit1.lambda_reg == 10.0
+        assert np.all(fit1(np.linspace(0.0, 1.0, 11), np.ones(11)) == 0.0)
+        half2 = ol.Dataset(x[n1:], a[n1:], y[n1:], seed=0, instance_id=inst.instance_id)
+        ipw2 = ol.ipw_estimate(half2, inst).tau_hat
+        # the first half has g/pi = 0: its terms are <g, fit2> = fit2(x, 1)
+        want = (np.sum(fit2(x[:n1], np.ones(n1))) + (n - n1) * ipw2) / n
+        assert report.tau_hat == pytest.approx(want, rel=1e-12, abs=1e-12)

@@ -3,12 +3,11 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from ope_lab.estimators import FirstStageSpec
+from ope_lab.estimators import FirstStageSpec, _fit_first_stage
 from ope_lab.regression import (
     RegressionError,
     cross_validate_lambda,
     fit_l1_constrained,
-    fit_unweighted_krr,
     fit_weighted_isotonic,
     fit_weighted_krr,
     fit_weighted_linear,
@@ -44,13 +43,16 @@ def test_krr_heavy_weight_dominates():
 
 
 def test_unweighted_equals_unit_weights():
+    # the unweighted first stage fits at 0/1 weights: every positive
+    # regression weight counts as 1
     rng = np.random.default_rng(1)
     x = rng.random(40)
     y = rng.normal(size=40)
-    a = fit_unweighted_krr(x, y, 0.7)
+    spec = FirstStageSpec(regressor_id="unweighted-krr", lambda_grid=(0.7,))
+    a = _fit_first_stage(spec, x, np.ones(40), y, rng.uniform(0.5, 3.0, 40), seed=0)
     b = fit_weighted_krr(x, y, np.ones(40), 0.7)
     q = rng.random(100)
-    assert np.max(np.abs(a.predict(q) - b.predict(q))) < 1e-12
+    assert np.max(np.abs(a(q, np.ones(100)) - b.predict(q))) < 1e-12
 
 
 def test_krr_vanishes_at_origin():
@@ -64,7 +66,7 @@ def test_krr_constant_data_shrinks_to_constant():
     rng = np.random.default_rng(3)
     x = np.sort(rng.random(400)) * 0.9 + 0.05
     y = np.full(400, 2.0)
-    model = fit_unweighted_krr(x, y, 1e-4)
+    model = fit_weighted_krr(x, y, np.ones(400), 1e-4)
     grid = np.linspace(0.1, 0.9, 50)
     assert np.max(np.abs(model.predict(grid) - 2.0)) < 1e-3
 

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import hashlib
 import json
 import pickle
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import ope_lab as ol
-from ope_lab import cli, complexity, simlab
+from ope_lab import cli, complexity, core, simlab
 from ope_lab.core import PropensityError, save_instance, write_dataset_csv
 from ope_lab.estimators import FirstStageError
 from ope_lab.lowerbounds import SupportError
@@ -298,17 +299,112 @@ def test_config_rejects_counts_that_are_not_whole_numbers(key, value, name):
         ExperimentConfig.from_json({"instance": builtin_doc(), key: value})
 
 
-# a change to any estimate or to the CSV layout changes this digest
-PINNED_RESULTS_SHA256 = "ea25a1be1ba4d6fe853ce8da03d74039dc6efa7a36b4b04c0432a48a1f8b93eb"
+# three unequal base weights, and a weight function that annihilates action 0
+THREE_ACTIONS = {
+    "kind": "finite",
+    "instance_id": "three-actions",
+    "states": [0.0, 0.5, 1.0],
+    "probs": [0.3, 0.3, 0.4],
+    "actions": [0.0, 1.0, 2.0],
+    "base_weights": [1.0, 0.5, 2.0],
+    "propensity": [[0.4, 0.4, 0.2], [0.2, 0.8, 0.2], [0.5, 0.2, 0.2]],
+    "weight": [[0.0, 1.0, 1.0], [0.0, 1.0, -1.0], [0.0, 2.0, 1.0]],
+    "outcome_mean": [[1.0, 2.0, 0.5], [0.0, 3.0, -1.0], [2.0, 1.0, 0.0]],
+    "outcome_sd": [[0.5, 1.0, 0.2], [0.3, 0.3, 0.3], [1.0, 0.1, 0.7]],
+}
 
 
-def test_results_csv_bytes_are_pinned():
+# a change to any estimate or to the CSV layout changes these digests
+@pytest.mark.parametrize("instance, grid, pinned", [
+    pytest.param(
+        builtin_doc(propensity="pi1", gamma=0.0, sigma0=1.0, pi_min=0.005), {"n_grid": (100, 200)},
+        "ea25a1be1ba4d6fe853ce8da03d74039dc6efa7a36b4b04c0432a48a1f8b93eb", id="pi1-gamma0",
+    ),
+    pytest.param(
+        builtin_doc(propensity="pi2", gamma=0.5, sigma0=1.0, pi_min=0.005), {"n_grid": (100, 200)},
+        "4b217839eb260f6b0ea65c1e0877f829a675f1b23c922f9e8c2b23fc7478a8b0", id="pi2-gamma0.5",
+    ),
+    pytest.param(
+        THREE_ACTIONS, {"n_grid": (30, 60), "folds": 3, "lambda_grid": (0.1, 1.0, 10.0)},
+        "54fd0553e3d4a207cc04fcb9af6ea0aaf32b427600d5c554a2cc4271d54a5555", id="finite",
+    ),
+])
+def test_results_csv_bytes_are_pinned(instance, grid, pinned):
     config = ExperimentConfig(
-        instance=builtin_doc(propensity="pi1", gamma=0.0, sigma0=1.0, pi_min=0.005),
-        estimators=simlab.ESTIMATOR_IDS, n_grid=(100, 200), reps=4, master_seed=1, threads=1,
+        instance=instance, estimators=simlab.ESTIMATOR_IDS, reps=4, master_seed=1, threads=1,
+        **grid,
     )
     csv = run_experiment(config).to_csv()
-    assert hashlib.sha256(csv.encode()).hexdigest() == PINNED_RESULTS_SHA256
+    assert hashlib.sha256(csv.encode()).hexdigest() == pinned
+
+
+def test_a_half_sample_without_observed_outcomes_leaves_the_grid_running():
+    # at n = 50 one half-sample of a two-stage-unweighted-krr replication
+    # observes no outcome; its first stage fits f = 0
+    config = ExperimentConfig(
+        instance=builtin_doc(propensity="pi1", gamma=0.0, sigma0=1.0),
+        estimators=simlab.ESTIMATOR_IDS, n_grid=(50, 100), reps=4, master_seed=7,
+    )
+    table = run_experiment(config)
+    assert len(table.rows) == 8
+
+
+class _Counted:
+    """A callable that counts its calls."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.fn(*args)
+
+
+def _counted_fields(inst):
+    """``inst`` with every evaluable field counted, and the counters."""
+    names = ("propensity", "weight_fn", "outcome_mean", "outcome_sd")
+    counted = {name: _Counted(getattr(inst, name)) for name in names}
+    kwargs = {f.name: getattr(inst, f.name) for f in dataclasses.fields(inst)}
+    return ol.ProblemInstance(**{**kwargs, **counted}), counted
+
+
+# squared errors of one replication, recorded before samples carried their pairs
+ONE_REP_PINS = {
+    ("builtin", "ipw"): "0x1.204c0befe16ebp-6",
+    ("builtin", "oracle"): "0x1.bf7e7b68fe145p-12",
+    ("builtin", "two-stage-weighted-krr"): "0x1.335c805a736b6p-11",
+    ("finite", "ipw"): "0x1.15808903be769p-6",
+    ("finite", "oracle"): "0x1.2bdf0377eca63p-8",
+    ("finite", "two-stage-weighted-krr"): "0x1.62751bdd364f2p-4",
+}
+
+
+@pytest.mark.parametrize("kind", ["builtin", "finite"])
+@pytest.mark.parametrize("estimator", ["ipw", "oracle", "two-stage-weighted-krr"])
+def test_a_replication_evaluates_the_propensity_once_and_locates_nothing(
+    monkeypatch, kind, estimator
+):
+    base = (
+        build_builtin_instance("pi1", gamma=0.5, sigma0=1.0)
+        if kind == "builtin"
+        else core.finite_instance_from_json(THREE_ACTIONS)
+    )
+    inst, counted = _counted_fields(base)
+    tau_star = core.true_functional(inst)
+    spec = ol.FirstStageSpec(regressor_id="weighted-krr", lambda_grid=(0.1, 1.0, 10.0), folds=3)
+    lookups = []
+    for name in ("action_index", "locate"):
+        method = getattr(core.ProblemInstance, name)
+        monkeypatch.setattr(
+            core.ProblemInstance, name,
+            lambda self, *args, _name=name, _method=method: lookups.append(_name) or _method(self, *args),
+        )
+    counted["propensity"].calls = 0
+    sq = simlab._run_rep(estimator, inst, 200, 1234, tau_star, spec)
+    assert counted["propensity"].calls <= 1
+    assert lookups == []
+    assert sq.hex() == ONE_REP_PINS[kind, estimator]
 
 
 # ---------------------------------------------------------------------------
