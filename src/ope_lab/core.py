@@ -616,10 +616,12 @@ def _values_and_rows(instance: ProblemInstance, fn, pairs: Pairs):
     return rows[np.arange(pairs.x.size), pairs.ai], rows
 
 
-def _likelihood_ratio(instance: ProblemInstance, pairs: Pairs) -> np.ndarray:
-    """g/pi at located pairs; zero propensity raises naming the pair."""
+def _likelihood_ratio(instance: ProblemInstance, pairs: Pairs, g_vals=None) -> np.ndarray:
+    """g/pi at located pairs, from g's values there when given; zero
+    propensity raises naming the pair."""
     pi_vals = _pair_values(instance, instance.propensity, pairs)
-    g_vals = _pair_values(instance, instance.weight_fn, pairs)
+    if g_vals is None:
+        g_vals = _pair_values(instance, instance.weight_fn, pairs)
     positive = pi_vals > 0
     if not positive.all():
         bad = int(np.argmin(positive))

@@ -217,8 +217,9 @@ def oracle_estimate(data: Dataset, instance: ProblemInstance) -> EstimateReport:
 
     Not computable from data alone; serves as the efficiency baseline.
     """
-    pairs, ratio = _observed(instance, data)
-    g_rows = _pair_rows(instance, instance.weight_fn, pairs)
+    pairs = _located(instance, data)
+    g_obs, g_rows = _values_and_rows(instance, instance.weight_fn, pairs)
+    ratio = _likelihood_ratio(instance, pairs, g_obs)
     mu_obs, mu_rows = _values_and_rows(instance, instance.outcome_mean, pairs)
     return _report("oracle", data, _influence(instance, ratio, data.y, g_rows, mu_obs, mu_rows))
 
@@ -313,7 +314,9 @@ def two_stage_estimate(
         raise ValueError(f"need n >= {2 * spec.folds} samples for {spec.folds} folds")
     n1 = (n + 1) // 2
     halves = (np.arange(n1), np.arange(n1, n))
-    pairs, ratio = _observed(instance, data)
+    pairs = _located(instance, data)
+    g_obs, g_rows = _values_and_rows(instance, instance.weight_fn, pairs)
+    ratio = _likelihood_ratio(instance, pairs, g_obs)
 
     x, a, y = data.x, data.a, data.y
     fits = []
@@ -328,7 +331,6 @@ def two_stage_estimate(
 
     # each fit is evaluated once at all n pairs: its values score the other
     # half and give fit_distance
-    g_rows = _pair_rows(instance, instance.weight_fn, pairs)
     (mu1, rows1), (mu2, rows2) = (_values_and_rows(instance, f.predict_xa, pairs) for f in fits)
     infl = np.empty(n)
     for idx, mu, rows in ((halves[0], mu2, rows2), (halves[1], mu1, rows1)):

@@ -46,7 +46,9 @@ class FiniteDistribution:
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
-        object.__setattr__(self, "atoms", tuple(self.atoms))
+        # numpy scalar atoms become Python scalars: a message names 1.0, not np.float64(1.0)
+        atoms = tuple(a.item() if isinstance(a, np.generic) else a for a in self.atoms)
+        object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "probs", probs)
         if len(self.atoms) != probs.size:
             raise ValueError("atoms and probabilities must align")

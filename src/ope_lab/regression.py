@@ -23,12 +23,13 @@ beta = K alpha solve (lam K^{-1} + W) beta = W y, tridiagonal on sorted
 distinct points, so the solve is O(m).  Zero-weight rows drop out, and a
 state within ``TIE_GAP`` of the previous one (or of 0) is pooled into it by
 summed weight and weighted target sum: exact for exact ties, a perturbation
-of the gap's size for near ties.  Pooling does not depend on lam, so
-cross-validation pools each fold once.
+of the gap's size for near ties.  Pooling does not depend on lam, so a grid
+of levels shares one pooling and one banded solve of their stacked systems.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -128,8 +129,6 @@ class KernelRidgeModel:
         return float(np.sum(np.asarray(w, dtype=float) * resid**2) + self.lambda_reg * penalty)
 
     def to_text(self) -> str:
-        import json
-
         return json.dumps(
             {
                 "regressor_id": self.regressor_id,
@@ -156,8 +155,6 @@ class LinearModel:
         return np.asarray(features, dtype=float) @ self.theta
 
     def to_text(self) -> str:
-        import json
-
         return json.dumps(
             {
                 "regressor_id": self.regressor_id,
@@ -183,8 +180,6 @@ class IsotonicModel:
         return self.levels[idx]
 
     def to_text(self) -> str:
-        import json
-
         return json.dumps(
             {
                 "regressor_id": self.regressor_id,
@@ -241,41 +236,47 @@ def _validate_kernel_inputs(x, y, w):
     return x, y, w
 
 
-class _PooledStates:
-    """The weighted states of one training set pooled into knots, with the
-    parts of the banded system that do not depend on the ridge level."""
+def _spline_values(x, y, w, levels) -> tuple[np.ndarray, np.ndarray]:
+    """The weighted states pooled into knots (0 first), and one row of values
+    there per ridge level, solving (lam K^{-1} + W) beta = W y at that level.
 
-    def __init__(self, x, y, w):
-        keep = w > 0
-        order = np.argsort(x[keep], kind="stable")
-        xs = x[keep][order]
-        starts = np.diff(xs, prepend=0.0) >= TIE_GAP
-        # knot 0 is the origin, where f = 0: states pooled into it drop out
-        knot_of = np.cumsum(starts)
-        self.knots = np.concatenate([[0.0], xs[starts]])
-        self.wsum = np.bincount(knot_of, weights=w[keep][order], minlength=1)[1:]
-        self.wy = np.bincount(knot_of, weights=(w[keep] * y[keep])[order], minlength=1)[1:]
-        self.inv_gaps = 1.0 / np.diff(self.knots)
-        self.coupling = self.inv_gaps + np.concatenate([self.inv_gaps[1:], [0.0]])
+    One ``dgtsv`` call solves the levels' systems stacked block-diagonally.
+    At a block edge every elimination multiplier is 0, so no pivot or fill
+    crosses it and each row has the bits of its level's own solve.
+    ``RegressionError`` names the first level whose row is not finite.
+    """
+    import scipy.linalg
 
-    def solve(self, lambda_reg: float) -> np.ndarray:
-        """Fitted values at ``knots``: (lam K^{-1} + W) beta = W y, 0 first."""
-        import scipy.linalg
-
-        m = self.wsum.size
-        if m == 0:
-            return np.zeros(1)
-        diag = lambda_reg * self.coupling + self.wsum
-        if m == 1:
-            beta, info = self.wy / diag, 0
-        else:
-            off = -lambda_reg * self.inv_gaps[1:]
-            _, _, _, beta, info = scipy.linalg.lapack.dgtsv(off, diag, off, self.wy)
-        if info != 0 or not np.all(np.isfinite(beta)):
-            raise RegressionError(
-                f"banded kernel solve is not finite at lambda {lambda_reg:g} with {m} knots"
-            )
-        return np.concatenate([[0.0], beta])
+    keep = w > 0
+    order = np.argsort(x[keep], kind="stable")
+    xs = x[keep][order]
+    starts = np.diff(xs, prepend=0.0) >= TIE_GAP
+    # knot 0 is the origin, where f = 0: states pooled into it drop out
+    knot_of = np.cumsum(starts)
+    knots = np.concatenate([[0.0], xs[starts]])
+    wsum = np.bincount(knot_of, weights=w[keep][order], minlength=1)[1:]
+    wy = np.bincount(knot_of, weights=(w[keep] * y[keep])[order], minlength=1)[1:]
+    lam = np.asarray(levels, dtype=float)[:, None]
+    m = wsum.size
+    values = np.zeros((lam.size, m + 1))
+    if m == 0:
+        return knots, values
+    inv_gaps = 1.0 / np.diff(knots)
+    # the last entry of each block's off-diagonal is the zero coupling to the next
+    next_inv_gaps = np.concatenate([inv_gaps[1:], [0.0]])
+    diag = lam * (inv_gaps + next_inv_gaps) + wsum
+    # the LAPACK wrapper wants an off-diagonal of length 1 for a 1 x 1 system
+    off = (-lam * next_inv_gaps).ravel()[: max(lam.size * m - 1, 1)]
+    _, _, _, beta, info = scipy.linalg.lapack.dgtsv(off, diag.ravel(), off, np.tile(wy, lam.size))
+    values[:, 1:] = beta.reshape(lam.size, m)
+    finite = np.isfinite(values).all(axis=1)
+    if info > 0:  # a zero pivot stopped the solve in that level's block
+        finite[(info - 1) // m :] = False
+    if not finite.all():
+        raise RegressionError(
+            f"banded kernel solve is not finite at lambda {lam[~finite, 0][0]:g} with {m} knots"
+        )
+    return knots, values
 
 
 def fit_weighted_krr(x, y, w, lambda_reg: float) -> KernelRidgeModel:
@@ -284,11 +285,11 @@ def fit_weighted_krr(x, y, w, lambda_reg: float) -> KernelRidgeModel:
     x, y, w = _validate_kernel_inputs(x, y, w)
     if not (np.isfinite(lambda_reg) and lambda_reg > 0):
         raise ValueError(f"lambda_reg is {lambda_reg}, not a positive finite ridge level")
-    pooled = _PooledStates(x, y, w)
+    knots, values = _spline_values(x, y, w, [lambda_reg])
     return KernelRidgeModel(
         regressor_id="weighted-krr",
-        knots=pooled.knots,
-        values=pooled.solve(lambda_reg),
+        knots=knots,
+        values=values[0],
         lambda_reg=float(lambda_reg),
         anchors=x,
         targets=y,
@@ -321,11 +322,8 @@ def fit_weighted_linear(
     _require_finite(features=phi, y=y, w=w)
     _require_non_negative(ridge=ridge, max_norm=max_norm)
     d = phi.shape[1]
-    if ridge == 0.0:
-        if np.linalg.matrix_rank(np.sqrt(w)[:, None] * phi) < d:
-            raise RegressionError(
-                "weighted design is rank deficient and ridge is 0"
-            )
+    if ridge == 0.0 and np.linalg.matrix_rank(np.sqrt(w)[:, None] * phi) < d:
+        raise RegressionError("weighted design is rank deficient and ridge is 0")
     gram = phi.T @ (w[:, None] * phi) + ridge * np.eye(d)
     theta = np.linalg.solve(gram, phi.T @ (w * y))
     if max_norm is not None:
@@ -492,9 +490,10 @@ def cross_validate_lambda(
     """Pick the ridge level minimizing the weighted validation square loss.
 
     Folds are contiguous blocks of a seeded shuffle; each candidate is fitted
-    on the remaining blocks with the supplied training weights, each fold
-    pooled once for all candidates.  Ties are broken toward the larger
-    regularizer.  A non-finite fold loss raises ``RegressionError``.
+    on the remaining blocks with the supplied training weights, in one banded
+    solve per fold that stacks every candidate (``_spline_values``: each row
+    has the bits of a lone fit).  Ties are broken toward the larger
+    regularizer.  A non-finite fold loss or solve raises ``RegressionError``.
 
     A fold whose training rows all have zero weight is skipped, and skipping
     is exact: with zero training weight the ridge objective is minimized by
@@ -517,21 +516,22 @@ def cross_validate_lambda(
     if x.size < folds:
         raise ValueError(f"{x.size} points cannot fill {folds} folds")
     perm = make_generator(mix_seed(seed, "cv-shuffle")).permutation(x.size)
-    losses = [0.0] * len(grid)
+    losses = np.zeros(len(grid))
     for fold, val_idx in enumerate(np.array_split(perm, folds)):
         mask = np.ones(x.size, dtype=bool)
         mask[val_idx] = False
         if not np.any(w[mask] > 0):
             continue
-        pooled = _PooledStates(*_validate_kernel_inputs(x[mask], y[mask], w[mask]))
+        knots, values = _spline_values(*_validate_kernel_inputs(x[mask], y[mask], w[mask]), grid)
         x_val, y_val, w_val = x[val_idx], y[val_idx], w[val_idx]
-        for j, lam in enumerate(grid):
-            resid = y_val - np.interp(x_val, pooled.knots, pooled.solve(lam))
-            loss = float(np.sum(w_val * resid**2))
-            if not np.isfinite(loss):
-                raise RegressionError(
-                    f"cross-validation loss is not finite at lambda {lam:g} on fold {fold}"
-                )
-            losses[j] += loss
-    best = min(losses)
-    return max(lam for lam, loss in zip(grid, losses) if loss == best)
+        resid = y_val - np.array([np.interp(x_val, knots, row) for row in values])
+        fold_losses = np.sum(w_val * resid**2, axis=1)
+        finite = np.isfinite(fold_losses)
+        if not finite.all():
+            raise RegressionError(
+                f"cross-validation loss is not finite at lambda {grid[np.argmin(finite)]:g} "
+                f"on fold {fold}"
+            )
+        losses += fold_losses
+    # ties go to the larger level, the last of the sorted grid among them
+    return grid[np.flatnonzero(losses == losses.min())[-1]]

@@ -49,6 +49,11 @@ def test_divergence_support_violation():
     mismatched = FiniteDistribution((0, 2), np.array([0.5, 0.5]))
     with pytest.raises(SupportError):
         divergence("KL", p, mismatched)
+    # atoms taken from a numpy array are named as plain numbers
+    p = FiniteDistribution(tuple(np.array([0.0, 1.0])), [0.5, 0.5])
+    q = FiniteDistribution(tuple(np.array([0.0, 1.0])), [1.0, 0.0])
+    with pytest.raises(SupportError, match=r"q vanishes at atom 1\.0 with p > 0$"):
+        divergence("KL", p, q)
 
 
 def test_pinsker_on_random_pairs():

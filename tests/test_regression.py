@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from ope_lab.estimators import FirstStageSpec, _fit_first_stage
 from ope_lab.regression import (
     RegressionError,
+    _spline_values,
     cross_validate_lambda,
     fit_l1_constrained,
     fit_weighted_isotonic,
@@ -164,6 +165,33 @@ def test_krr_derived_alpha_solves_the_representer_system(seed):
         alpha = fit_weighted_krr(x, y, w, lam).alpha
         resid = (w[:, None] * gram + lam * np.eye(x.size)) @ alpha - w * y
         assert np.linalg.norm(resid) < 1e-8 * np.linalg.norm(w * y)
+
+
+STUDY_LEVELS = np.logspace(-1.0, 6.0, 15)
+
+
+@pytest.mark.parametrize("case", ["tied", "random", "one-state", "origin"])
+def test_the_stacked_solve_has_the_bits_of_one_fit_per_level(case):
+    rng = np.random.default_rng(8)
+    if case == "tied":
+        x, y, w = _tied_data(0)
+    elif case == "random":
+        x, y, w = rng.random(500), rng.normal(size=500), rng.uniform(0.0, 3.0, 500)
+    elif case == "one-state":  # m = 1: two rows tie at 0.4, the third has no weight
+        x, y, w = np.array([0.4, 0.4, 0.7]), np.array([2.0, -1.0, 3.0]), np.array([0.5, 2.0, 0.0])
+    else:  # m = 0: every weighted state pools into the origin
+        x, y, w = np.array([0.0, 0.0, 0.6]), np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 0.0])
+    knots, values = _spline_values(x, y, w, STUDY_LEVELS)
+    assert values.shape == (STUDY_LEVELS.size, knots.size)
+    for lam, row in zip(STUDY_LEVELS, values):
+        fit = fit_weighted_krr(x, y, w, lam)
+        assert np.array_equal(fit.knots, knots)
+        assert np.array_equal(fit.values, row)
+    if case == "one-state":
+        # a 1 x 1 block is the division W y / (lam / x + W)
+        assert np.array_equal(values[:, 1], -1.0 / (STUDY_LEVELS * (1.0 / 0.4 + 0.0) + 2.5))
+    if case == "origin":
+        assert np.array_equal(knots, [0.0]) and not values.any()
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +537,13 @@ def test_cv_rejects_a_non_finite_loss():
     y = 1e200 * (1.0 + rng.random(20))  # finite, but squared residuals overflow
     with pytest.raises(RegressionError, match=r"lambda 0\.1 on fold 0"):
         cross_validate_lambda(x, y, np.ones(20), grid=[0.1, 1.0], folds=4, seed=0)
+
+
+def test_cv_rejects_a_non_finite_solve_naming_its_smallest_level():
+    x = np.linspace(0.1, 0.9, 8)
+    y, w = np.full(8, 1e300), np.full(8, 1e10)  # W y overflows at every level
+    with pytest.raises(RegressionError, match="not finite at lambda 1 with 6 knots"):
+        cross_validate_lambda(x, y, w, grid=[10.0, 1.0], folds=4, seed=0)
 
 
 def test_cv_requires_enough_points():

@@ -328,6 +328,11 @@ THREE_ACTIONS = {
         THREE_ACTIONS, {"n_grid": (30, 60), "folds": 3, "lambda_grid": (0.1, 1.0, 10.0)},
         "54fd0553e3d4a207cc04fcb9af6ea0aaf32b427600d5c554a2cc4271d54a5555", id="finite",
     ),
+    pytest.param(
+        builtin_doc(propensity="pi1", gamma=0.0, sigma0=0.15, pi_min=0.005),
+        {"n_grid": (100, 200), "folds": 5, "lambda_grid": tuple(np.logspace(-1.0, 6.0, 15))},
+        "a9466b68fa2414f239c2cc98ea2fbfa69e02176aa554d60c2b066b48ef85efad", id="study-grid",
+    ),
 ])
 def test_results_csv_bytes_are_pinned(instance, grid, pinned):
     config = ExperimentConfig(
@@ -401,8 +406,10 @@ def test_a_replication_evaluates_the_propensity_once_and_locates_nothing(
             lambda self, *args, _name=name, _method=method: lookups.append(_name) or _method(self, *args),
         )
     counted["propensity"].calls = 0
+    counted["weight_fn"].calls = 0
     sq = simlab._run_rep(estimator, inst, 200, 1234, tau_star, spec)
     assert counted["propensity"].calls <= 1
+    assert counted["weight_fn"].calls <= 1
     assert lookups == []
     assert sq.hex() == ONE_REP_PINS[kind, estimator]
 
