@@ -292,10 +292,7 @@ class ProblemInstance:
 
     def propensity_at(self, x: np.ndarray, a: np.ndarray) -> np.ndarray:
         """pi(x_i, a_i) for paired state and action vectors."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        idx = self.action_index(a)
-        pmat = np.asarray(self.propensity(x), dtype=float)
-        return pmat[np.arange(x.size), idx]
+        return _pair_values(self, self.propensity, self.locate(np.atleast_1d(x), np.atleast_1d(a)))
 
     def action_index(self, a: np.ndarray) -> np.ndarray:
         """Map action labels to their indices in the action space."""

@@ -140,7 +140,6 @@ class TwoStageReport(EstimateReport):
 
     first_stage_models: tuple = field(default=())
     fit_distance: float = 0.0
-    lambdas: tuple = field(default=())
 
 
 # ---------------------------------------------------------------------------
@@ -240,12 +239,17 @@ def _fit_first_stage(
     """Fit one half-sample.  Regression weights are w_i = (g/pi)^2 at the
     observed pairs; rows the weight function annihilates enter with w = 0,
     which removes them from every weighted objective.
+
+    Every fitted model predicts through a feature map of (x, a); the kernel
+    fits use ``state``, which models the outcome as a function of x alone.
     """
     if spec.regressor_id == "frozen":
         return FittedOutcomeModel(regressor_id="frozen", predict_xa=spec.frozen_fn)
 
-    if spec.regressor_id in ("weighted-krr", "unweighted-krr"):
-        # kernel fits model the outcome as a function of the state alone;
+    kernel = spec.regressor_id in ("weighted-krr", "unweighted-krr")
+    feature_map = regression.resolve_feature_map("state" if kernel else spec.feature_map)
+    lam = None
+    if kernel:
         # rows with zero weight-function value never enter the objective
         w_train = w if spec.regressor_id == "weighted-krr" else (w > 0).astype(float)
         lam = regression.cross_validate_lambda(
@@ -261,20 +265,7 @@ def _fit_first_stage(
                 spec.regressor_id, knots=np.zeros(1), values=np.zeros(1), lambda_reg=lam,
                 anchors=x, targets=y, weights=w_train,
             )
-
-        def predict(xq, aq, _m=model):
-            xq = np.asarray(xq, dtype=float)
-            aq = np.asarray(aq, dtype=float)
-            xb, _ = np.broadcast_arrays(xq, aq)
-            return _m.predict(xb)
-
-        return FittedOutcomeModel(
-            regressor_id=spec.regressor_id, predict_xa=predict, model=model,
-            lambda_reg=lam,
-        )
-
-    feature_map = regression.resolve_feature_map(spec.feature_map)
-    if spec.regressor_id == "weighted-linear":
+    elif spec.regressor_id == "weighted-linear":
         model = regression.fit_weighted_linear(
             feature_map(x, a), y, w, ridge=spec.ridge, max_norm=spec.radius
         )
@@ -290,11 +281,11 @@ def _fit_first_stage(
     else:  # pragma: no cover - guarded by FirstStageSpec
         raise ValueError(spec.regressor_id)
 
-    def predict(xq, aq, _m=model, _fm=feature_map):
-        return _m.predict(_fm(xq, aq))
+    def predict(xq, aq):
+        return model.predict(feature_map(xq, aq))
 
     return FittedOutcomeModel(
-        regressor_id=spec.regressor_id, predict_xa=predict, model=model
+        regressor_id=spec.regressor_id, predict_xa=predict, model=model, lambda_reg=lam
     )
 
 
@@ -327,7 +318,6 @@ def two_stage_estimate(
             ))
         except Exception as exc:
             raise FirstStageError(f"first-stage fit failed on half {j}: {exc}", fold=j) from exc
-    fit1, fit2 = fits
 
     # each fit is evaluated once at all n pairs: its values score the other
     # half and give fit_distance
@@ -339,7 +329,6 @@ def two_stage_estimate(
 
     return _report(
         f"two-stage-{spec.regressor_id}", data, infl, cls=TwoStageReport,
-        first_stage_models=(fit1, fit2),
+        first_stage_models=tuple(fits),
         fit_distance=fit_distance,
-        lambdas=(fit1.lambda_reg, fit2.lambda_reg),
     )

@@ -229,8 +229,6 @@ def _validate_kernel_inputs(x, y, w):
     _require_finite(x=x, y=y, w=w)
     if np.any(w < 0):
         raise ValueError("weights must be non-negative")
-    if not np.any(w > 0):
-        raise ValueError("at least one weight must be positive")
     if not np.all((x >= 0) & (x <= 1)):
         raise ValueError("sobolev1 kernel requires x in [0, 1]")
     return x, y, w
@@ -283,6 +281,8 @@ def fit_weighted_krr(x, y, w, lambda_reg: float) -> KernelRidgeModel:
     """Weighted kernel ridge regression with the min kernel: an O(m) banded
     solve on the pooled states (``RegressionError`` if it is not finite)."""
     x, y, w = _validate_kernel_inputs(x, y, w)
+    if not np.any(w > 0):
+        raise ValueError("at least one weight must be positive")
     if not (np.isfinite(lambda_reg) and lambda_reg > 0):
         raise ValueError(f"lambda_reg is {lambda_reg}, not a positive finite ridge level")
     knots, values = _spline_values(x, y, w, [lambda_reg])
@@ -494,6 +494,8 @@ def cross_validate_lambda(
     solve per fold that stacks every candidate (``_spline_values``: each row
     has the bits of a lone fit).  Ties are broken toward the larger
     regularizer.  A non-finite fold loss or solve raises ``RegressionError``.
+    The caller's arrays are validated once, before the one-level shortcut;
+    the folds are slices of them and are not checked again.
 
     A fold whose training rows all have zero weight is skipped, and skipping
     is exact: with zero training weight the ridge objective is minimized by
@@ -502,11 +504,8 @@ def cross_validate_lambda(
     folds validate at zero weight, every candidate ties, and the largest
     ridge level is chosen.)
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    w = np.asarray(w, dtype=float)
-    # checked here so that an error names the caller's row, not a fold's
-    _require_finite(x=x, y=y, w=w)
+    # checked once here, so that an error names the caller's row, not a fold's
+    x, y, w = _validate_kernel_inputs(x, y, w)
     _require_ridge_levels("grid", grid)
     grid = sorted(float(g) for g in grid)
     if len(grid) == 1:
@@ -522,7 +521,7 @@ def cross_validate_lambda(
         mask[val_idx] = False
         if not np.any(w[mask] > 0):
             continue
-        knots, values = _spline_values(*_validate_kernel_inputs(x[mask], y[mask], w[mask]), grid)
+        knots, values = _spline_values(x[mask], y[mask], w[mask], grid)
         x_val, y_val, w_val = x[val_idx], y[val_idx], w[val_idx]
         resid = y_val - np.array([np.interp(x_val, knots, row) for row in values])
         fold_losses = np.sum(w_val * resid**2, axis=1)

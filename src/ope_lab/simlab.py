@@ -191,11 +191,14 @@ class ExperimentConfig:
             object.__setattr__(self, name, _whole_number(name, getattr(self, name)))
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
-        if list(self.n_grid) != sorted(self.n_grid):
-            raise ValueError("n_grid must be sorted ascending")
-        for est in self.estimators:
+        for i, n in enumerate(self.n_grid):
+            if n < 1 or (i and n <= self.n_grid[i - 1]):
+                raise ValueError(f"n_grid[{i}] is {n}; n_grid must increase strictly from 1 or more")
+        for i, est in enumerate(self.estimators):
             if est not in ESTIMATOR_IDS:
                 raise ValueError(f"unknown estimator {est!r}; known: {ESTIMATOR_IDS}")
+            if est in self.estimators[:i]:
+                raise ValueError(f"estimators[{i}] repeats {est!r}")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
 
@@ -264,18 +267,6 @@ class ResultsTable:
 # ---------------------------------------------------------------------------
 # Runner
 # ---------------------------------------------------------------------------
-
-
-def _first_stage_spec(estimator: str, config: ExperimentConfig) -> estimators.FirstStageSpec:
-    regressor = {
-        "two-stage-weighted-krr": "weighted-krr",
-        "two-stage-unweighted-krr": "unweighted-krr",
-    }[estimator]
-    return estimators.FirstStageSpec(
-        regressor_id=regressor,
-        lambda_grid=config.lambda_grid,
-        folds=config.folds,
-    )
 
 
 def _run_rep(
@@ -390,7 +381,9 @@ def run_experiment(config: ExperimentConfig) -> ResultsTable:
                 [mix_seed(config.master_seed, estimator, n, rep) for rep in range(config.reps)],
                 CHUNKS_PER_WORKER * config.threads,
             ),
-            _first_stage_spec(estimator, config) if estimator.startswith("two-stage") else None,
+            estimators.FirstStageSpec(
+                estimator.removeprefix("two-stage-"), config.lambda_grid, config.folds
+            ) if estimator.startswith("two-stage") else None,
         )
         for estimator in config.estimators
         for n in config.n_grid

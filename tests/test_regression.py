@@ -444,6 +444,16 @@ def test_cv_single_value_grid():
     assert cross_validate_lambda(x, x, np.ones(3), grid=[7.0], folds=2) == 7.0
 
 
+def test_cv_checks_its_data_before_the_one_level_shortcut():
+    y = np.array([0.1, 0.5, 0.9])
+    with pytest.raises(ValueError, match=r"x in \[0, 1\]"):
+        cross_validate_lambda(np.array([0.2, 1.5, 0.4]), y, np.ones(3), grid=[7.0], folds=2)
+    with pytest.raises(ValueError, match="non-negative"):
+        cross_validate_lambda(y, y, np.array([1.0, -1.0, 1.0]), grid=[7.0], folds=2)
+    # with no positive weight every fold is skipped and the largest level wins
+    assert cross_validate_lambda(y, y, np.zeros(3), grid=[0.1, 7.0, 1.0], folds=2) == 7.0
+
+
 def test_cv_noiseless_in_span_picks_least_shrinkage():
     rng = np.random.default_rng(14)
     x = rng.random(60)

@@ -277,6 +277,17 @@ def test_config_validation():
         ExperimentConfig(instance=builtin_doc(), estimators=("mystery",))
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("n_grid", (50, 50), r"^n_grid\[1\] is 50; n_grid must increase strictly"),
+    ("n_grid", (0, 50), r"^n_grid\[0\] is 0; n_grid must increase strictly from 1"),
+    ("estimators", ("ipw", "oracle", "ipw"), r"^estimators\[2\] repeats 'ipw'$"),
+], ids=["repeated-n", "zero-n", "repeated-estimator"])
+def test_config_rejects_a_repeated_cell_or_an_empty_sample(key, value, message):
+    # a repeated estimator or sample size would run and write the same cell twice
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(instance=builtin_doc(), reps=2, **{key: value})
+
+
 def test_config_from_json_rejects_an_unknown_key_by_name():
     with pytest.raises(ValueError, match=r"unknown config key 'rep'"):
         ExperimentConfig.from_json({"instance": builtin_doc(), "rep": 5, "thread": 4})
