@@ -17,6 +17,9 @@ has a closed form:
                        the localization radius is ignored, so this is an
                        unlocalized upper bound on the localized class;
     singleton-zero   : {0}, sup = 0.
+
+Both Monte Carlo complexities draw every replication in ``_mc_sups``; a new
+class adds its supremum there and its radius scaling in ``critical_radius``.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .core import (
     weighted_norm,
 )
 from .quadrature import adaptive_simpson  # noqa: F401  (patched by benchmarks/tracing.py)
+from .regression import _require_non_negative
 from .rng import make_generator, mix_seed, substream
 
 DEFAULT_REPS = 10_000
@@ -72,8 +76,7 @@ class LocalizedClassSpec:
 
         if self.class_id not in ("linear-ellipsoid", "l1-ball", "singleton-zero"):
             raise ValueError(f"unsupported class {self.class_id!r}")
-        if self.radius < 0:
-            raise ValueError("localization radius must be non-negative")
+        _require_non_negative(radius=self.radius, l1_radius=self.l1_radius)
         if self.class_id == "linear-ellipsoid":
             if self.feature_map is None or self.sigma_matrix is None:
                 raise ValueError("linear-ellipsoid needs feature_map and sigma_matrix")
@@ -131,27 +134,6 @@ def moment_matrices(instance: ProblemInstance, feature_map) -> tuple[np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _score_sup(spec: LocalizedClassSpec, score: np.ndarray, chol) -> float:
-    """Closed-form supremum of <theta, score> over the localized class."""
-    import scipy.linalg
-
-    if spec.class_id == "singleton-zero":
-        return 0.0
-    if spec.class_id == "linear-ellipsoid":
-        z = scipy.linalg.solve_triangular(chol, score, lower=True)
-        return spec.radius * float(np.linalg.norm(z))
-    return float(spec.l1_radius) * float(np.max(np.abs(score))) if score.size else 0.0
-
-
-def _prepare(spec: LocalizedClassSpec):
-    import scipy.linalg
-
-    chol = None
-    if spec.class_id == "linear-ellipsoid":
-        chol = scipy.linalg.cholesky(spec.sigma_matrix, lower=True)
-    return chol
-
-
 def _require_samples(**counts) -> None:
     """Reject an empty Monte Carlo sample, naming the count that is empty."""
     for name, value in counts.items():
@@ -166,6 +148,32 @@ def _features_at(feature_map, x, a) -> np.ndarray:
     return phi
 
 
+def _mc_sups(instance, spec: LocalizedClassSpec, m, reps, seed, weights) -> list[float]:
+    """Closed-form supremum over the class of each replication r's score
+    (eps * weight) @ phi / m: m pairs from ``substream(seed, r)``, then
+    ``weights(pairs, rng)`` (which may draw from rng), then the signs eps."""
+    import scipy.linalg
+
+    _require_samples(m=m, reps=reps)
+    if spec.class_id == "singleton-zero":
+        return [0.0] * reps
+    if spec.class_id == "linear-ellipsoid":
+        chol = scipy.linalg.cholesky(spec.sigma_matrix, lower=True)
+    sups = []
+    for r in range(reps):
+        rng = substream(seed, r)
+        pairs = _draw_pairs(instance, m, rng)
+        weight = weights(pairs, rng)
+        eps = rng.integers(0, 2, size=m) * 2.0 - 1.0
+        score = (eps * weight) @ _features_at(spec.feature_map, pairs.x, pairs.a) / m
+        if spec.class_id == "linear-ellipsoid":
+            z = scipy.linalg.solve_triangular(chol, score, lower=True)
+            sups.append(spec.radius * float(np.linalg.norm(z)))
+        else:
+            sups.append(float(spec.l1_radius) * float(np.max(np.abs(score))))
+    return sups
+
+
 def rademacher_S_mc(
     instance: ProblemInstance,
     spec: LocalizedClassSpec,
@@ -176,32 +184,23 @@ def rademacher_S_mc(
 ) -> ComplexityEstimate:
     """Squared-form localized complexity with a per-sample multiplier.
 
-    Each replication draws m pairs, the multiplier values (outcome noise
-    Y - mu by default, or a custom function h(x, a), typically mu minus a
-    first-stage fit), and Rademacher signs; the supremum of the weighted score is
-    computed in closed form.  Returns the root of the mean squared supremum
-    with a delta-method standard error.
+    Each replication weights the score by (g/pi)^2 times the multiplier: the
+    outcome noise Y - mu by default (drawn before the signs), or a custom
+    function h(x, a), typically mu minus a first-stage fit.  Returns the root
+    of the mean squared supremum with a delta-method standard error.
     """
-    _require_samples(m=m, reps=reps)
-    if spec.class_id == "singleton-zero":
-        return ComplexityEstimate(0.0, 0.0, reps)
-    chol = _prepare(spec)
-    sups_sq = np.empty(reps)
-    for r in range(reps):
-        rng = substream(seed, r)
-        pairs = _draw_pairs(instance, m, rng)
+    if isinstance(multiplier, str) and multiplier != "outcome-noise":
+        raise ValueError(f"unknown multiplier {multiplier!r}")
+
+    def weights(pairs, rng):
         ratio2 = _likelihood_ratio(instance, pairs) ** 2
         if isinstance(multiplier, str):
-            if multiplier != "outcome-noise":
-                raise ValueError(f"unknown multiplier {multiplier!r}")
             sd = _pair_values(instance, instance.outcome_sd, pairs)
-            mult = sd * rng.standard_normal(m)
-        else:
-            mult = _pair_values(instance, multiplier, pairs)
-        eps = rng.integers(0, 2, size=m) * 2.0 - 1.0
-        phi = _features_at(spec.feature_map, pairs.x, pairs.a)
-        score = (eps * ratio2 * mult) @ phi / m
-        sups_sq[r] = _score_sup(spec, score, chol) ** 2
+            return ratio2 * (sd * rng.standard_normal(m))
+        return ratio2 * _pair_values(instance, multiplier, pairs)
+
+    # squared as Python floats: numpy's array power can round differently
+    sups_sq = np.array([s**2 for s in _mc_sups(instance, spec, m, reps, seed, weights)])
     mean_sq = float(np.mean(sups_sq))
     se_sq = float(np.std(sups_sq, ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
     value = float(np.sqrt(max(mean_sq, 0.0)))
@@ -217,19 +216,8 @@ def rademacher_R_mc(
     seed: int = 0,
 ) -> ComplexityEstimate:
     """Plain localized complexity with the g/pi weighting and no multiplier."""
-    _require_samples(m=m, reps=reps)
-    if spec.class_id == "singleton-zero":
-        return ComplexityEstimate(0.0, 0.0, reps)
-    chol = _prepare(spec)
-    sups = np.empty(reps)
-    for r in range(reps):
-        rng = substream(seed, r)
-        pairs = _draw_pairs(instance, m, rng)
-        ratio = _likelihood_ratio(instance, pairs)
-        eps = rng.integers(0, 2, size=m) * 2.0 - 1.0
-        phi = _features_at(spec.feature_map, pairs.x, pairs.a)
-        score = (eps * ratio) @ phi / m
-        sups[r] = _score_sup(spec, score, chol)
+    ratio = lambda pairs, rng: _likelihood_ratio(instance, pairs)
+    sups = np.array(_mc_sups(instance, spec, m, reps, seed, ratio))
     value = float(np.mean(sups))
     stderr = float(np.std(sups, ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
     return ComplexityEstimate(value, stderr, reps)
@@ -248,7 +236,6 @@ def critical_radius(
     source: str = "mc",
     alpha1: float | None = None,
     alpha2: float | None = None,
-    multiplier="outcome-noise",
     reps: int = DEFAULT_REPS,
     seed: int = 0,
     gamma_matrix: np.ndarray | None = None,
@@ -269,10 +256,9 @@ def critical_radius(
     c1/threshold for the l1 ball, and for the ellipsoid 0 when the threshold
     holds at every radius and inf when it holds at none.
     """
+    _require_samples(m=m)
     if kind not in ("s", "r"):
         raise ValueError("kind must be 's' or 'r'")
-    if spec.class_id == "singleton-zero":
-        return 0.0
     if kind == "r":
         for name, value in (("alpha1", alpha1), ("alpha2", alpha2)):
             if value is None or not 0.0 < value < np.inf:
@@ -293,9 +279,7 @@ def critical_radius(
     elif source == "mc":
         unit = spec.with_radius(1.0)
         if kind == "s":
-            c1 = rademacher_S_mc(
-                instance, unit, m, multiplier=multiplier, reps=reps, seed=seed
-            ).value
+            c1 = rademacher_S_mc(instance, unit, m, reps=reps, seed=seed).value
         else:
             c1 = rademacher_R_mc(instance, unit, m, reps=reps, seed=seed).value
     else:

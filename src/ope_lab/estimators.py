@@ -23,7 +23,7 @@ Cross-validation inside each half uses only that half's data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable
 
 import numpy as np
@@ -34,14 +34,17 @@ from .rng import mix_seed
 
 REPORT_CSV_HEADER = "estimator_id,n,seed,tau_hat,plugin_variance"
 
-FIRST_STAGE_IDS = (
-    "weighted-krr",
-    "unweighted-krr",
-    "weighted-linear",
-    "l1-constrained",
-    "weighted-isotonic",
-    "frozen",
-)
+# the optional FirstStageSpec fields each regressor reads; the rest keep their defaults
+FIRST_STAGE_FIELDS = {
+    "weighted-krr": (),
+    "unweighted-krr": (),
+    "weighted-linear": ("feature_map", "radius", "ridge"),
+    "l1-constrained": ("feature_map", "radius"),
+    "weighted-isotonic": ("feature_map",),
+    "frozen": ("frozen_fn",),
+}
+FIRST_STAGE_IDS = tuple(FIRST_STAGE_FIELDS)
+_OPTIONAL_FIELDS = {name for names in FIRST_STAGE_FIELDS.values() for name in names}
 
 
 class FirstStageError(RuntimeError):
@@ -94,7 +97,8 @@ class FirstStageSpec:
     ``feature_map`` is a registry id or callable (linear, l1, isotonic
     regressors); ``radius`` is the l1 or l2 cap where applicable;
     ``frozen_fn`` short-circuits fitting with a fixed outcome function
-    (diagnostics only, not serializable).
+    (diagnostics only, not serializable).  A field the regressor does not
+    read (``FIRST_STAGE_FIELDS``) must keep its default.
     """
 
     regressor_id: str
@@ -115,6 +119,10 @@ class FirstStageSpec:
         regression._require_ridge_levels("lambda_grid", self.lambda_grid)
         if self.regressor_id == "frozen" and self.frozen_fn is None:
             raise ValueError("frozen first stage requires frozen_fn")
+        unread = _OPTIONAL_FIELDS.difference(FIRST_STAGE_FIELDS[self.regressor_id])
+        for f in fields(self):
+            if f.name in unread and getattr(self, f.name) != f.default:
+                raise ValueError(f"the {self.regressor_id} first stage does not read {f.name}")
 
 
 @dataclass(frozen=True)

@@ -191,6 +191,9 @@ class ExperimentConfig:
             object.__setattr__(self, name, _whole_number(name, getattr(self, name)))
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
+        for name in ("estimators", "n_grid"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must be non-empty")
         for i, n in enumerate(self.n_grid):
             if n < 1 or (i and n <= self.n_grid[i - 1]):
                 raise ValueError(f"n_grid[{i}] is {n}; n_grid must increase strictly from 1 or more")

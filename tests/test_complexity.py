@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate
 
 import ope_lab as ol
-from ope_lab import simlab
+from ope_lab import complexity, simlab
 from ope_lab.complexity import (
     EXHAUSTIVE_PATTERN_LIMIT,
     IDENTITY_LINK,
@@ -215,6 +215,42 @@ def test_mc_complexities_are_pinned():
     r_est = rademacher_R_mc(inst, spec, m=20, reps=50, seed=5)
     assert (s_est.value.hex(), s_est.stderr.hex()) == ("0x1.244937a0a8996p-1", "0x1.f6be3f22507d8p-5")
     assert (r_est.value.hex(), r_est.stderr.hex()) == ("0x1.4986aac5062fbp-3", "0x1.ec000f15f8d7dp-7")
+    # recorded while each complexity ran its own replication loop
+    for est, want in (
+        (
+            rademacher_S_mc(inst, spec, m=20, multiplier=inst.outcome_mean, reps=50, seed=5),
+            ("0x1.6d1412f70bf3ap+0", "0x1.06b9c47801976p-3"),
+        ),
+        (rademacher_R_mc(inst, l1_spec(), m=20, reps=50, seed=5), ("0x1.8c28f5c28f5c3p+0", "0x1.27be81d09adfdp-3")),
+        (rademacher_S_mc(inst, l1_spec(), m=20, reps=50, seed=5), ("0x1.5f63bcacbbcdep+2", "0x1.2e33a92572658p-1")),
+    ):
+        assert (est.value.hex(), est.stderr.hex()) == want
+
+
+def test_each_replication_draws_one_substream(monkeypatch):
+    # one stream per replication, none for the singleton: the benchmark
+    # tracer counts complexity.mc_draws by wrapping complexity.substream
+    calls = []
+    counted = complexity.substream
+
+    def counting(seed, r):
+        calls.append(r)
+        return counted(seed, r)
+
+    monkeypatch.setattr(complexity, "substream", counting)
+    inst = make_d1(1.0)
+    spec = ellipsoid_spec(inst)
+    singleton = LocalizedClassSpec(class_id="singleton-zero", radius=1.0)
+    for run, draws in (
+        (lambda: rademacher_S_mc(inst, spec, m=10, reps=7), 7),
+        (lambda: rademacher_R_mc(inst, spec, m=10, reps=5), 5),
+        (lambda: rademacher_S_mc(inst, singleton, m=10, reps=5), 0),
+        (lambda: rademacher_R_mc(inst, singleton, m=10, reps=5), 0),
+        (lambda: critical_radius(inst, spec, m=10, kind="s", source="mc", reps=4), 4),
+    ):
+        calls.clear()
+        run()
+        assert calls == list(range(draws))
 
 
 def test_custom_multiplier_matches_enumeration():
@@ -315,6 +351,8 @@ SCALAR_CALLS = {
     "alpha2-radius": lambda v: critical_radius(
         make_d1(1.0), l1_spec(), m=10, kind="r", alpha1=1.0, alpha2=v, reps=2
     ),
+    "radius-class": lambda v: LocalizedClassSpec("l1-ball", v, scalar_feature, l1_radius=2.0),
+    "l1_radius-class": lambda v: LocalizedClassSpec("l1-ball", 1.0, scalar_feature, l1_radius=v),
 }
 
 
@@ -324,6 +362,14 @@ def test_scalar_arguments_reject_nan_and_inf_by_name(case, bad):
     name = case.split("-")[0]
     with pytest.raises(ValueError, match=rf"\b{name} is {bad}"):
         SCALAR_CALLS[case](bad)
+
+
+def test_localized_class_rejects_a_negative_radius():
+    # a negative l1 radius turned every supremum, and so the complexity, negative
+    with pytest.raises(ValueError, match=r"^l1_radius is -2.0, not a non-negative finite number$"):
+        LocalizedClassSpec("l1-ball", 1.0, scalar_feature, l1_radius=-2.0)
+    with pytest.raises(ValueError, match=r"^radius is -1.0, not a non-negative finite number$"):
+        LocalizedClassSpec("singleton-zero", -1.0)
 
 
 def test_closed_form_plain_radius_threshold():
@@ -441,13 +487,22 @@ def test_small_ball_matches_enumeration():
             ("m", "reps"),
         ),
         (
+            lambda inst, spec, m, reps: critical_radius(
+                inst, spec, m=m, kind="s", source="closed-form-linear"
+            ),
+            ("m",),
+        ),
+        (
             lambda inst, spec, m, reps: small_ball_estimate(
                 inst, lambda x, a: np.ones(np.broadcast(x, a).shape), alpha1=0.5, reps=reps
             ),
             ("reps",),
         ),
     ],
-    ids=["rademacher_S_mc", "rademacher_R_mc", "critical_radius", "small_ball_estimate"],
+    ids=[
+        "rademacher_S_mc", "rademacher_R_mc", "critical_radius", "critical_radius-closed-form",
+        "small_ball_estimate",
+    ],
 )
 def test_monte_carlo_rejects_an_empty_sample(estimate, counts):
     inst = make_d1(1.0)

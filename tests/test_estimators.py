@@ -236,6 +236,23 @@ def test_two_stage_zero_propensity_raises_before_fitting():
         ol.two_stage_estimate(bad, inst, spec, seed=0)
 
 
+@pytest.mark.parametrize("regressor, options, unread", [
+    ("weighted-krr", {"feature_map": "bilinear-xa", "radius": 3.0, "ridge": 2.0},
+     ("feature_map", "radius", "ridge")),
+    ("unweighted-krr", {"ridge": 2.0}, ("ridge",)),
+    ("weighted-isotonic", {"feature_map": "state", "radius": 1.0}, ("radius",)),
+    ("l1-constrained", {"feature_map": "state", "radius": 1.0, "ridge": 1e-3}, ("ridge",)),
+    ("weighted-linear", {"frozen_fn": const_fn(0.0)}, ("frozen_fn",)),
+    ("frozen", {"frozen_fn": const_fn(0.0), "feature_map": "state"}, ("feature_map",)),
+])
+def test_first_stage_spec_rejects_a_field_its_regressor_does_not_read(regressor, options, unread):
+    # the fit would ignore these fields silently; the error names the first
+    with pytest.raises(ValueError, match=rf"^the {regressor} first stage does not read {unread[0]}$"):
+        ol.FirstStageSpec(regressor_id=regressor, **options)
+    read = {k: v for k, v in options.items() if k not in unread}
+    assert ol.FirstStageSpec(regressor_id=regressor, **read).regressor_id == regressor
+
+
 def test_two_stage_needs_enough_data(d1):
     data = ol.sample_dataset(d1, 8, seed=12)
     with pytest.raises(ValueError):

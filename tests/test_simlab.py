@@ -281,7 +281,9 @@ def test_config_validation():
     ("n_grid", (50, 50), r"^n_grid\[1\] is 50; n_grid must increase strictly"),
     ("n_grid", (0, 50), r"^n_grid\[0\] is 0; n_grid must increase strictly from 1"),
     ("estimators", ("ipw", "oracle", "ipw"), r"^estimators\[2\] repeats 'ipw'$"),
-], ids=["repeated-n", "zero-n", "repeated-estimator"])
+    ("n_grid", (), r"^n_grid must be non-empty$"),
+    ("estimators", (), r"^estimators must be non-empty$"),
+], ids=["repeated-n", "zero-n", "repeated-estimator", "empty-n-grid", "empty-estimators"])
 def test_config_rejects_a_repeated_cell_or_an_empty_sample(key, value, message):
     # a repeated estimator or sample size would run and write the same cell twice
     with pytest.raises(ValueError, match=message):
