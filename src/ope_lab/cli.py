@@ -45,17 +45,7 @@ def _simulate(args) -> int:
 def _estimate(args) -> int:
     data = core.read_dataset_csv(args.data)
     instance = simlab.load_instance(args.instance)
-    if args.estimator == "ipw":
-        report = estimators.ipw_estimate(data, instance)
-    elif args.estimator == "oracle":
-        report = estimators.oracle_estimate(data, instance)
-    elif args.estimator in ("two-stage-weighted-krr", "two-stage-unweighted-krr"):
-        spec = estimators.FirstStageSpec(
-            regressor_id=args.estimator.removeprefix("two-stage-"),
-        )
-        report = estimators.two_stage_estimate(data, instance, spec, seed=args.seed)
-    else:
-        raise ValueError(f"unknown estimator {args.estimator!r}")
+    report = estimators.estimate(args.estimator, data, instance, seed=args.seed)
     print(estimators.REPORT_CSV_HEADER)
     print(report.csv_row())
     return 0
@@ -180,7 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
     est = sub.add_parser("estimate", help="run one estimator on a stored dataset")
     est.add_argument("--data", required=True)
     est.add_argument("--instance", required=True)
-    est.add_argument("--estimator", required=True)
+    # no argparse choices: an unknown id fails with the one-line JSON error
+    est.add_argument(
+        "--estimator", required=True, help=f"one of {', '.join(estimators.ESTIMATOR_IDS)}"
+    )
     est.add_argument("--seed", type=int, default=0)
     est.set_defaults(func=_estimate)
 

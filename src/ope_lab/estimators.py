@@ -19,6 +19,9 @@ first-stage outcome model muhat_j on each half B_j, and cross-fits:
 
 where muhat_{-i} is the fit trained on the half that does not contain i.
 Cross-validation inside each half uses only that half's data.
+
+``NAMED_ESTIMATORS`` holds the estimator ids of a simulation config and of
+``ope-lab estimate``, and ``estimate`` runs the estimator an id names.
 """
 
 from __future__ import annotations
@@ -45,6 +48,14 @@ FIRST_STAGE_FIELDS = {
 }
 FIRST_STAGE_IDS = tuple(FIRST_STAGE_FIELDS)
 _OPTIONAL_FIELDS = {name for names in FIRST_STAGE_FIELDS.values() for name in names}
+# the first stage each named estimator fits; None for IPW and the oracle
+NAMED_ESTIMATORS = {
+    "ipw": None,
+    "oracle": None,
+    "two-stage-weighted-krr": "weighted-krr",
+    "two-stage-unweighted-krr": "unweighted-krr",
+}
+ESTIMATOR_IDS = tuple(NAMED_ESTIMATORS)
 
 
 class FirstStageError(RuntimeError):
@@ -270,8 +281,7 @@ def _fit_first_stage(
             # with no weighted row the ridge objective's exact minimizer is
             # f = 0; cross-validation tied and chose the largest level
             model = regression.KernelRidgeModel(
-                spec.regressor_id, knots=np.zeros(1), values=np.zeros(1), lambda_reg=lam,
-                anchors=x, targets=y, weights=w_train,
+                spec.regressor_id, knots=np.zeros(1), values=np.zeros(1), lambda_reg=lam
             )
     elif spec.regressor_id == "weighted-linear":
         model = regression.fit_weighted_linear(
@@ -340,3 +350,28 @@ def two_stage_estimate(
         first_stage_models=tuple(fits),
         fit_distance=fit_distance,
     )
+
+
+def estimate(
+    estimator_id: str,
+    data: Dataset,
+    instance: ProblemInstance,
+    seed: int = 0,
+    lambda_grid: tuple = regression.DEFAULT_LAMBDA_GRID,
+    folds: int = 5,
+) -> EstimateReport:
+    """Run the estimator that ``estimator_id`` names in ``NAMED_ESTIMATORS``.
+
+    ``seed``, ``lambda_grid`` and ``folds`` reach only a two-stage
+    estimator's first stage.  The estimators are looked up as module
+    globals at each call, so a wrapper installed on one of them is seen.
+    """
+    if estimator_id not in NAMED_ESTIMATORS:
+        raise ValueError(f"unknown estimator {estimator_id!r}; known: {ESTIMATOR_IDS}")
+    regressor_id = NAMED_ESTIMATORS[estimator_id]
+    if regressor_id is not None:
+        spec = FirstStageSpec(regressor_id, lambda_grid, folds)
+        return two_stage_estimate(data, instance, spec, seed=seed)
+    if estimator_id == "ipw":
+        return ipw_estimate(data, instance)
+    return oracle_estimate(data, instance)

@@ -17,19 +17,18 @@ K W (y - K alpha) = lam K alpha; whenever K is invertible this reduces to
 
 The min kernel is the Brownian-motion covariance, so the minimizer is a
 linear smoothing spline: f(0) = 0, linear between the weighted states, flat
-after the last.  A fit stores these knots and its values there, predicts by
-interpolation and derives alpha_i = w_i (y_i - f(x_i)) / lam.  The values
-beta = K alpha solve (lam K^{-1} + W) beta = W y, tridiagonal on sorted
-distinct points, so the solve is O(m).  Zero-weight rows drop out, and a
-state within ``TIE_GAP`` of the previous one (or of 0) is pooled into it by
-summed weight and weighted target sum: exact for exact ties, a perturbation
-of the gap's size for near ties.  Pooling does not depend on lam, so a grid
-of levels shares one pooling and one banded solve of their stacked systems.
+after the last.  A fit is these knots and its values there, and predicts by
+interpolation.  The values beta = K alpha solve (lam K^{-1} + W) beta = W y,
+tridiagonal on sorted distinct points, so the solve is O(m).  Zero-weight
+rows drop out, and a state within ``TIE_GAP`` of the previous one (or of 0)
+is pooled into it by summed weight and weighted target sum: exact for exact
+ties, a perturbation of the gap's size for near ties.  Pooling does not
+depend on lam, so a grid of levels shares one pooling and one banded solve
+of their stacked systems.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -101,43 +100,16 @@ def resolve_feature_map(spec) -> Callable:
 @dataclass
 class KernelRidgeModel:
     """Sobolev-1 fit through (``knots``, ``values``): 0 and the sorted pooled
-    weighted states, and f there.  ``alpha`` of f = sum_j alpha_j min(., x_j)
-    is derived from the training rows (``anchors``, ``targets``, ``weights``).
-    """
+    weighted states, and f there, at ridge level ``lambda_reg``."""
 
     regressor_id: str
     knots: np.ndarray
     values: np.ndarray
     lambda_reg: float
-    anchors: np.ndarray
-    targets: np.ndarray
-    weights: np.ndarray
 
     def predict(self, x) -> np.ndarray:
         out = np.interp(x, self.knots, self.values)
         return out if np.ndim(out) else float(out)
-
-    @property
-    def alpha(self) -> np.ndarray:
-        """Representer coefficients alpha_i = w_i (y_i - f(x_i)) / lam."""
-        return self.weights * (self.targets - self.predict(self.anchors)) / self.lambda_reg
-
-    def objective(self, x, y, w) -> float:
-        resid = np.asarray(y, dtype=float) - self.predict(x)
-        # ||f||_H^2 = integral of f'^2, exact for the piecewise-linear f
-        penalty = float(np.sum(np.diff(self.values) ** 2 / np.diff(self.knots)))
-        return float(np.sum(np.asarray(w, dtype=float) * resid**2) + self.lambda_reg * penalty)
-
-    def to_text(self) -> str:
-        return json.dumps(
-            {
-                "regressor_id": self.regressor_id,
-                "kernel_id": "sobolev1",
-                "lambda": self.lambda_reg,
-                "anchors": self.anchors.tolist(),
-                "alpha": self.alpha.tolist(),
-            }
-        )
 
 
 @dataclass
@@ -154,17 +126,6 @@ class LinearModel:
     def predict(self, features) -> np.ndarray:
         return np.asarray(features, dtype=float) @ self.theta
 
-    def to_text(self) -> str:
-        return json.dumps(
-            {
-                "regressor_id": self.regressor_id,
-                "theta": self.theta.tolist(),
-                "ridge": self.ridge,
-                "radius": self.radius,
-                "converged": self.converged,
-            }
-        )
-
 
 @dataclass
 class IsotonicModel:
@@ -178,15 +139,6 @@ class IsotonicModel:
         t = np.asarray(t, dtype=float)
         idx = np.clip(np.searchsorted(self.knots, t, side="right") - 1, 0, self.knots.size - 1)
         return self.levels[idx]
-
-    def to_text(self) -> str:
-        return json.dumps(
-            {
-                "regressor_id": self.regressor_id,
-                "knots": self.knots.tolist(),
-                "levels": self.levels.tolist(),
-            }
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +239,7 @@ def fit_weighted_krr(x, y, w, lambda_reg: float) -> KernelRidgeModel:
         raise ValueError(f"lambda_reg is {lambda_reg}, not a positive finite ridge level")
     knots, values = _spline_values(x, y, w, [lambda_reg])
     return KernelRidgeModel(
-        regressor_id="weighted-krr",
-        knots=knots,
-        values=values[0],
-        lambda_reg=float(lambda_reg),
-        anchors=x,
-        targets=y,
-        weights=w,
+        regressor_id="weighted-krr", knots=knots, values=values[0], lambda_reg=float(lambda_reg)
     )
 
 

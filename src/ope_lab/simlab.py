@@ -33,12 +33,11 @@ import numpy as np
 
 from . import core, estimators
 from .core import Continuous1D, Dataset, ProblemInstance, sample_dataset
-from .regression import DEFAULT_LAMBDA_GRID
+from .regression import DEFAULT_LAMBDA_GRID, _require_ridge_levels
 from .rng import mix_seed
 
 PI_MIN_DEFAULT = 0.005
 SIGMA0_DEFAULT = 1.0
-ESTIMATOR_IDS = ("ipw", "oracle", "two-stage-weighted-krr", "two-stage-unweighted-krr")
 RESULTS_HEADER = "instance_id,estimator,n,reps,normalized_mse,mc_stderr,master_seed"
 # each cell's replications go to the workers in this many chunks per worker
 CHUNKS_PER_WORKER = 4
@@ -191,6 +190,9 @@ class ExperimentConfig:
             object.__setattr__(self, name, _whole_number(name, getattr(self, name)))
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
+        if self.folds < 2:
+            raise ValueError("folds must be at least 2")
+        _require_ridge_levels("lambda_grid", self.lambda_grid)
         for name in ("estimators", "n_grid"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be non-empty")
@@ -198,8 +200,9 @@ class ExperimentConfig:
             if n < 1 or (i and n <= self.n_grid[i - 1]):
                 raise ValueError(f"n_grid[{i}] is {n}; n_grid must increase strictly from 1 or more")
         for i, est in enumerate(self.estimators):
-            if est not in ESTIMATOR_IDS:
-                raise ValueError(f"unknown estimator {est!r}; known: {ESTIMATOR_IDS}")
+            if est not in estimators.ESTIMATOR_IDS:
+                known = estimators.ESTIMATOR_IDS
+                raise ValueError(f"unknown estimator {est!r}; known: {known}")
             if est in self.estimators[:i]:
                 raise ValueError(f"estimators[{i}] repeats {est!r}")
         if self.threads < 1:
@@ -278,25 +281,22 @@ def _run_rep(
     n: int,
     rep_seed: int,
     tau_star: float,
-    spec,
+    first_stage: tuple | None,
 ) -> float:
+    """Squared error of one replication; ``first_stage`` is (lambda_grid,
+    folds) for an estimator that fits a first stage, None for the others."""
     data: Dataset = sample_dataset(instance, n, seed=rep_seed)
-    if estimator == "ipw":
-        report = estimators.ipw_estimate(data, instance)
-    elif estimator == "oracle":
-        report = estimators.oracle_estimate(data, instance)
-    else:
-        report = estimators.two_stage_estimate(
-            data, instance, spec, seed=mix_seed(rep_seed, "two-stage")
-        )
+    # only a first stage reads the fold seed: IPW and the oracle skip its hash
+    extra = () if first_stage is None else (mix_seed(rep_seed, "two-stage"), *first_stage)
+    report = estimators.estimate(estimator, data, instance, *extra)
     return (report.tau_hat - tau_star) ** 2
 
 
 def _run_reps(instance, task) -> list:
     """Squared errors of one task's replications, in seed order; a task is
-    (estimator, n, seeds, tau_star, first-stage spec)."""
-    estimator, n, seeds, tau_star, spec = task
-    return [_run_rep(estimator, instance, n, seed, tau_star, spec) for seed in seeds]
+    (estimator, n, seeds, tau_star, first_stage) as ``_run_rep`` reads them."""
+    estimator, n, seeds, tau_star, first_stage = task
+    return [_run_rep(estimator, instance, n, seed, tau_star, first_stage) for seed in seeds]
 
 
 # the instance of a worker process, set by ``_start_worker`` in workers only
@@ -384,20 +384,18 @@ def run_experiment(config: ExperimentConfig) -> ResultsTable:
                 [mix_seed(config.master_seed, estimator, n, rep) for rep in range(config.reps)],
                 CHUNKS_PER_WORKER * config.threads,
             ),
-            estimators.FirstStageSpec(
-                estimator.removeprefix("two-stage-"), config.lambda_grid, config.folds
-            ) if estimator.startswith("two-stage") else None,
+            (config.lambda_grid, config.folds) if estimators.NAMED_ESTIMATORS[estimator] else None,
         )
         for estimator in config.estimators
         for n in config.n_grid
     ]
     tasks = [
-        (estimator, n, chunk, tau_star, spec)
-        for estimator, n, chunks, spec in cells
+        (estimator, n, chunk, tau_star, first_stage)
+        for estimator, n, chunks, first_stage in cells
         for chunk in chunks
     ]
     # loaded once here for the first stage's solve: forked workers inherit it
-    if config.threads > 1 and any(spec is not None for *_, spec in cells):
+    if config.threads > 1 and any(estimators.NAMED_ESTIMATORS[e] for e in config.estimators):
         import scipy.linalg  # noqa: F401
     table = ResultsTable()
     # one pool serves every cell; a single worker runs in the caller
@@ -441,7 +439,7 @@ def run_experiment(config: ExperimentConfig) -> ResultsTable:
 
 
 # ---------------------------------------------------------------------------
-# Results I/O and summaries
+# Results I/O
 # ---------------------------------------------------------------------------
 
 
@@ -473,53 +471,3 @@ def read_results_csv(path) -> ResultsTable:
             )
         )
     return table
-
-
-@dataclass(frozen=True)
-class ElbowRow:
-    estimator: str
-    small_over_large: float
-    over_oracle_at_largest: float
-    decreasing_within_noise: bool
-
-
-def elbow_report(table: ResultsTable) -> list:
-    """Per-estimator convergence summary across the sample-size grid.
-
-    Requires oracle rows and at least three distinct sample sizes.  For each
-    estimator: the ratio of normalized MSE at the smallest versus largest n,
-    the ratio to the oracle at the largest n, and whether the normalized MSE
-    is non-increasing in n up to twice the combined MC standard errors.
-    """
-    by_est: dict[str, list[ResultRow]] = {}
-    for row in table.sorted_rows():
-        by_est.setdefault(row.estimator, []).append(row)
-    if "oracle" not in by_est:
-        raise ValueError("elbow report requires oracle rows for calibration")
-    n_values = sorted({row.n for row in table.rows})
-    if len(n_values) < 3:
-        raise ValueError("elbow report requires at least three sample sizes")
-
-    oracle_rows = {row.n: row for row in by_est["oracle"]}
-    largest = n_values[-1]
-    if largest not in oracle_rows:
-        raise ValueError("oracle row missing at the largest sample size")
-    out = []
-    for estimator, rows in sorted(by_est.items()):
-        rows = sorted(rows, key=lambda r: r.n)
-        first, last = rows[0], rows[-1]
-        monotone = True
-        for prev, nxt in zip(rows, rows[1:]):
-            slack = 2.0 * np.hypot(prev.mc_stderr, nxt.mc_stderr)
-            if nxt.normalized_mse > prev.normalized_mse + slack:
-                monotone = False
-        out.append(
-            ElbowRow(
-                estimator=estimator,
-                small_over_large=first.normalized_mse / last.normalized_mse,
-                over_oracle_at_largest=last.normalized_mse
-                / oracle_rows[largest].normalized_mse,
-                decreasing_within_noise=monotone,
-            )
-        )
-    return out

@@ -1,9 +1,11 @@
-"""Independent brute-force oracles for finite instances, and the dense
-kernel ridge solve.
+"""Independent brute-force oracles for finite instances, the dense kernel
+ridge solve, and the kernel ridge optimality checks.
 
 Deliberately written as plain-Python loops over probability tables or as
 the textbook dense system, sharing no code with the package: these are the
-reference values the fast paths are checked against.
+reference values the fast paths are checked against.  The optimality
+checks read a fit only through its knots, values, ridge level and
+``predict``.
 """
 
 from __future__ import annotations
@@ -116,3 +118,18 @@ def dense_krr_values(x, y, w, lam, knots):
     system = w[:, None] * np.minimum.outer(x, x) + lam * np.eye(x.size)
     alpha = scipy.linalg.lu_solve(scipy.linalg.lu_factor(system), w * y)
     return np.minimum.outer(knots, x) @ alpha
+
+
+def krr_alpha(model, x, y, w):
+    """Representer coefficients alpha_i = w_i (y_i - f(x_i)) / lam of a kernel
+    fit f = sum_i alpha_i min(., x_i) on the training rows (x, y, w)."""
+    y, w = np.asarray(y, dtype=float), np.asarray(w, dtype=float)
+    return w * (y - model.predict(x)) / model.lambda_reg
+
+
+def krr_objective(model, x, y, w):
+    """sum_i w_i (y_i - f(x_i))^2 + lam ||f||_H^2 of a kernel fit."""
+    resid = np.asarray(y, dtype=float) - model.predict(x)
+    # ||f||_H^2 = integral of f'^2, exact for the piecewise-linear f
+    penalty = float(np.sum(np.diff(model.values) ** 2 / np.diff(model.knots)))
+    return float(np.sum(np.asarray(w, dtype=float) * resid**2) + model.lambda_reg * penalty)

@@ -16,7 +16,7 @@ from ope_lab.regression import (
 )
 from ope_lab.rng import make_generator, mix_seed
 
-from oracles import brute_isotonic_grid, dense_krr_values
+from oracles import brute_isotonic_grid, dense_krr_values, krr_alpha, krr_objective
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +162,7 @@ def test_krr_derived_alpha_solves_the_representer_system(seed):
     x, y, w = _tied_data(seed)
     gram = np.minimum.outer(x, x)
     for lam in (1e-3, 1.0, 1e3):
-        alpha = fit_weighted_krr(x, y, w, lam).alpha
+        alpha = krr_alpha(fit_weighted_krr(x, y, w, lam), x, y, w)
         resid = (w[:, None] * gram + lam * np.eye(x.size)) @ alpha - w * y
         assert np.linalg.norm(resid) < 1e-8 * np.linalg.norm(w * y)
 
@@ -396,10 +396,6 @@ def test_duplicating_point_equals_doubling_weight():
     assert np.max(np.abs(i1.predict(q) - i2.predict(q))) < 1e-8
 
 
-def _weighted_objective(model, x, y, w):
-    return model.objective(x, y, w)
-
-
 def test_fits_beat_random_perturbations():
     rng = np.random.default_rng(13)
     x = rng.random(25)
@@ -408,10 +404,10 @@ def test_fits_beat_random_perturbations():
 
     lam = 0.4
     krr = fit_weighted_krr(x, y, w, lam)
-    base = krr.objective(x, y, w)
+    base = krr_objective(krr, x, y, w)
     gram = np.minimum.outer(x, x)
     for _ in range(100):
-        alpha = krr.alpha + rng.normal(scale=0.05, size=25)
+        alpha = krr_alpha(krr, x, y, w) + rng.normal(scale=0.05, size=25)
         resid = y - gram @ alpha
         perturbed = float(np.sum(w * resid**2) + lam * alpha @ gram @ alpha)
         assert perturbed >= base - 1e-9
@@ -565,22 +561,6 @@ def test_cv_requires_enough_points():
         cross_validate_lambda(
             np.array([0.1, 0.2, 0.3]), np.zeros(3), np.ones(3), grid=[], folds=2
         )
-
-
-def test_models_serialize_to_text():
-    import json
-
-    krr = fit_weighted_krr(np.array([0.5]), np.array([1.0]), np.array([1.0]), 2.0)
-    doc = json.loads(krr.to_text())
-    assert doc["regressor_id"] == "weighted-krr" and doc["lambda"] == 2.0
-
-    lin = fit_weighted_linear(np.eye(2), np.array([1.0, 2.0]), np.ones(2))
-    doc = json.loads(lin.to_text())
-    assert doc["regressor_id"] == "weighted-linear" and len(doc["theta"]) == 2
-
-    iso = fit_weighted_isotonic(np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.ones(2))
-    doc = json.loads(iso.to_text())
-    assert doc["levels"] == [0.0, 1.0]
 
 
 # ---------------------------------------------------------------------------

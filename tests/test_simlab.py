@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import ope_lab as ol
-from ope_lab import cli, complexity, core, simlab
+from ope_lab import cli, complexity, core, estimators, simlab
 from ope_lab.core import PropensityError, save_instance, write_dataset_csv
-from ope_lab.estimators import FirstStageError
+from ope_lab.estimators import ESTIMATOR_IDS, FirstStageError
 from ope_lab.lowerbounds import SupportError
 from ope_lab.quadrature import QuadratureError
 from ope_lab.simlab import (
@@ -19,7 +19,6 @@ from ope_lab.simlab import (
     ResultRow,
     ResultsTable,
     build_builtin_instance,
-    elbow_report,
     read_results_csv,
     run_experiment,
     write_results_csv,
@@ -228,10 +227,10 @@ def test_failure_in_a_later_chunk_names_its_cell(monkeypatch):
     }
     run_rep = simlab._run_rep
 
-    def failing_rep(estimator, instance, n, rep_seed, tau_star, spec):
+    def failing_rep(estimator, instance, n, rep_seed, tau_star, first_stage):
         if rep_seed in doomed:
             raise ValueError(f"{doomed[rep_seed]} failed")
-        return run_rep(estimator, instance, n, rep_seed, tau_star, spec)
+        return run_rep(estimator, instance, n, rep_seed, tau_star, first_stage)
 
     # the forked workers inherit the patched replication
     monkeypatch.setattr(simlab, "_run_rep", failing_rep)
@@ -283,9 +282,17 @@ def test_config_validation():
     ("estimators", ("ipw", "oracle", "ipw"), r"^estimators\[2\] repeats 'ipw'$"),
     ("n_grid", (), r"^n_grid must be non-empty$"),
     ("estimators", (), r"^estimators must be non-empty$"),
-], ids=["repeated-n", "zero-n", "repeated-estimator", "empty-n-grid", "empty-estimators"])
+    ("folds", 1, r"^folds must be at least 2$"),
+    ("lambda_grid", (np.nan,), r"^lambda_grid\[0\] is nan, not a positive finite ridge level$"),
+    ("lambda_grid", (), r"^lambda_grid must be non-empty$"),
+], ids=[
+    "repeated-n", "zero-n", "repeated-estimator", "empty-n-grid", "empty-estimators",
+    "one-fold", "nan-ridge-level", "empty-lambda-grid",
+])
 def test_config_rejects_a_repeated_cell_or_an_empty_sample(key, value, message):
-    # a repeated estimator or sample size would run and write the same cell twice
+    # a repeated estimator or sample size would run and write the same cell
+    # twice; a bad fold count or ridge grid is rejected even when no estimator
+    # of the config fits a first stage
     with pytest.raises(ValueError, match=message):
         ExperimentConfig(instance=builtin_doc(), reps=2, **{key: value})
 
@@ -349,7 +356,7 @@ THREE_ACTIONS = {
 ])
 def test_results_csv_bytes_are_pinned(instance, grid, pinned):
     config = ExperimentConfig(
-        instance=instance, estimators=simlab.ESTIMATOR_IDS, reps=4, master_seed=1, threads=1,
+        instance=instance, estimators=ESTIMATOR_IDS, reps=4, master_seed=1, threads=1,
         **grid,
     )
     csv = run_experiment(config).to_csv()
@@ -361,7 +368,7 @@ def test_a_half_sample_without_observed_outcomes_leaves_the_grid_running():
     # observes no outcome; its first stage fits f = 0
     config = ExperimentConfig(
         instance=builtin_doc(propensity="pi1", gamma=0.0, sigma0=1.0),
-        estimators=simlab.ESTIMATOR_IDS, n_grid=(50, 100), reps=4, master_seed=7,
+        estimators=ESTIMATOR_IDS, n_grid=(50, 100), reps=4, master_seed=7,
     )
     table = run_experiment(config)
     assert len(table.rows) == 8
@@ -410,7 +417,7 @@ def test_a_replication_evaluates_the_propensity_once_and_locates_nothing(
     )
     inst, counted = _counted_fields(base)
     tau_star = core.true_functional(inst)
-    spec = ol.FirstStageSpec(regressor_id="weighted-krr", lambda_grid=(0.1, 1.0, 10.0), folds=3)
+    first_stage = ((0.1, 1.0, 10.0), 3)  # (lambda_grid, folds)
     lookups = []
     for name in ("action_index", "locate"):
         method = getattr(core.ProblemInstance, name)
@@ -420,11 +427,24 @@ def test_a_replication_evaluates_the_propensity_once_and_locates_nothing(
         )
     counted["propensity"].calls = 0
     counted["weight_fn"].calls = 0
-    sq = simlab._run_rep(estimator, inst, 200, 1234, tau_star, spec)
+    sq = simlab._run_rep(estimator, inst, 200, 1234, tau_star, first_stage)
     assert counted["propensity"].calls <= 1
     assert counted["weight_fn"].calls <= 1
     assert lookups == []
     assert sq.hex() == ONE_REP_PINS[kind, estimator]
+
+
+def test_a_replication_without_a_first_stage_derives_no_fold_seed(monkeypatch):
+    inst = build_builtin_instance("pi1", gamma=0.5, sigma0=1.0)
+    tau_star = core.true_functional(inst)
+    expected = {e: simlab._run_rep(e, inst, 50, 1234, tau_star, None) for e in ("ipw", "oracle")}
+
+    def no_fold_seed(*args):
+        raise AssertionError(f"fold seed derived: mix_seed{args}")
+
+    monkeypatch.setattr(simlab, "mix_seed", no_fold_seed)
+    for estimator, sq in expected.items():
+        assert simlab._run_rep(estimator, inst, 50, 1234, tau_star, None) == sq
 
 
 # ---------------------------------------------------------------------------
@@ -479,50 +499,6 @@ def test_results_write_failure_carries_path():
 
 
 # ---------------------------------------------------------------------------
-# elbow report
-# ---------------------------------------------------------------------------
-
-
-def synthetic_table(mses, estimator="two-stage-weighted-krr", oracle=1.0):
-    rows = []
-    for n, mse in mses:
-        rows.append(ResultRow("inst", estimator, n, 100, mse, 0.01, 0))
-        rows.append(ResultRow("inst", "oracle", n, 100, oracle, 0.01, 0))
-    return ResultsTable(rows=rows)
-
-
-def test_elbow_flags_halving_trend():
-    table = synthetic_table([(100, 4.0), (200, 2.0), (400, 1.0)])
-    rows = {r.estimator: r for r in elbow_report(table)}
-    two_stage = rows["two-stage-weighted-krr"]
-    assert abs(two_stage.small_over_large - 4.0) < 1e-12
-    assert two_stage.decreasing_within_noise
-    assert abs(two_stage.over_oracle_at_largest - 1.0) < 1e-12
-
-
-def test_elbow_oracle_rows_alone_are_flat():
-    rows = [ResultRow("inst", "oracle", n, 100, 1.0, 0.01, 0) for n in (100, 200, 400)]
-    out = elbow_report(ResultsTable(rows=rows))
-    assert len(out) == 1
-    assert abs(out[0].small_over_large - 1.0) < 1e-12
-    assert out[0].decreasing_within_noise
-
-
-def test_elbow_needs_grid_and_oracle():
-    with pytest.raises(ValueError):
-        elbow_report(synthetic_table([(100, 4.0)]))
-    rows = [ResultRow("inst", "ipw", n, 10, 1.0, 0.0, 0) for n in (1, 2, 3)]
-    with pytest.raises(ValueError):
-        elbow_report(ResultsTable(rows=rows))
-
-
-def test_elbow_detects_increase_beyond_noise():
-    table = synthetic_table([(100, 1.0), (200, 2.0), (400, 4.0)])
-    rows = {r.estimator: r for r in elbow_report(table)}
-    assert not rows["two-stage-weighted-krr"].decreasing_within_noise
-
-
-# ---------------------------------------------------------------------------
 # command line
 # ---------------------------------------------------------------------------
 
@@ -564,21 +540,63 @@ def test_cli_seed_and_reps_overrides(tmp_path):
     assert row.reps == 4
 
 
-def test_cli_estimate(tmp_path, capsys):
+def _estimate_files(tmp_path):
+    """The d1 instance and a 50-row dataset of it (seed 9), written for the CLI."""
     inst = make_d1(1.0)
-    data = ol.sample_dataset(inst, 50, seed=9)
     data_path = tmp_path / "data.csv"
-    write_dataset_csv(data, data_path)
+    write_dataset_csv(ol.sample_dataset(inst, 50, seed=9), data_path)
     inst_path = tmp_path / "inst.json"
     save_instance(inst, inst_path)
+    return inst, data_path, inst_path
+
+
+# two-stage rows recorded when the CLI held its own estimator dispatch
+CLI_TWO_STAGE_ROWS = {
+    "two-stage-weighted-krr": "two-stage-weighted-krr,50,9,3.083501754,22.97054583",
+    "two-stage-unweighted-krr": "two-stage-unweighted-krr,50,9,2.915154494,24.10316787",
+}
+
+
+def test_cli_estimate(tmp_path, capsys):
+    # every named estimator prints the row of its own library function
+    inst, data_path, inst_path = _estimate_files(tmp_path)
+    data = core.read_dataset_csv(data_path)
+    library = {
+        "ipw": estimators.ipw_estimate(data, inst),
+        "oracle": estimators.oracle_estimate(data, inst),
+        **{
+            estimator: estimators.two_stage_estimate(
+                data, inst, ol.FirstStageSpec(regressor_id=regressor), seed=3
+            )
+            for estimator, regressor in estimators.NAMED_ESTIMATORS.items()
+            if regressor is not None
+        },
+    }
+    assert set(library) == set(ESTIMATOR_IDS)
+    printed = {}
+    for estimator in ESTIMATOR_IDS:
+        code = cli.main([
+            "estimate", "--data", str(data_path), "--instance", str(inst_path),
+            "--estimator", estimator, "--seed", "3",
+        ])
+        assert code == 0
+        header, printed[estimator] = capsys.readouterr().out.strip().split("\n")
+        assert header == "estimator_id,n,seed,tau_hat,plugin_variance"
+        assert printed[estimator] == library[estimator].csv_row()
+    assert {e: printed[e] for e in CLI_TWO_STAGE_ROWS} == CLI_TWO_STAGE_ROWS
+
+
+def test_cli_estimate_names_an_unknown_estimator_and_the_known_ones(tmp_path, capsys):
+    _, data_path, inst_path = _estimate_files(tmp_path)
     code = cli.main([
         "estimate", "--data", str(data_path), "--instance", str(inst_path),
-        "--estimator", "oracle",
+        "--estimator", "two-stage-krr",
     ])
-    assert code == 0
-    out = capsys.readouterr().out.strip().split("\n")
-    assert out[0] == "estimator_id,n,seed,tau_hat,plugin_variance"
-    assert out[1].startswith("oracle,50,9,")
+    assert code == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError",
+        "message": f"unknown estimator 'two-stage-krr'; known: {ESTIMATOR_IDS}",
+    }
 
 
 def test_cli_lowerbound_and_diagnose(tmp_path, capsys):
