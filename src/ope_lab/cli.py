@@ -116,10 +116,7 @@ def _diagnose(args) -> int:
         unit = complexity.rademacher_R_mc(
             instance, spec, m=args.m, reps=args.reps, seed=args.seed
         )
-        rows = [
-            (r, complexity.ComplexityEstimate(r * unit.value, r * unit.stderr, unit.reps))
-            for r in args.radii
-        ]
+        rows = [(r, complexity.ComplexityEstimate(r * unit.value, r * unit.stderr)) for r in args.radii]
         text = complexity.profile_csv_rows(rows)
         if args.out:
             with open(args.out, "w", newline="\n") as fh:

@@ -24,7 +24,7 @@ class adds its supremum there and its radius scaling in ``critical_radius``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -51,7 +51,6 @@ SINGULAR_RTOL = 1e-12
 class ComplexityEstimate(NamedTuple):
     value: float
     stderr: float
-    reps: int
 
 
 @dataclass(frozen=True)
@@ -205,7 +204,7 @@ def rademacher_S_mc(
     se_sq = float(np.std(sups_sq, ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
     value = float(np.sqrt(max(mean_sq, 0.0)))
     stderr = se_sq / (2.0 * value) if value > 0 else float(np.sqrt(se_sq))
-    return ComplexityEstimate(value, stderr, reps)
+    return ComplexityEstimate(value, stderr)
 
 
 def rademacher_R_mc(
@@ -220,7 +219,7 @@ def rademacher_R_mc(
     sups = np.array(_mc_sups(instance, spec, m, reps, seed, ratio))
     value = float(np.mean(sups))
     stderr = float(np.std(sups, ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
-    return ComplexityEstimate(value, stderr, reps)
+    return ComplexityEstimate(value, stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +330,7 @@ def small_ball_estimate(
     )
     hits = vals >= alpha1 * h_norm
     p = float(np.mean(hits))
-    return ComplexityEstimate(p, float(np.sqrt(p * (1 - p) / reps)), reps)
+    return ComplexityEstimate(p, float(np.sqrt(p * (1 - p) / reps)))
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +355,6 @@ class ShatteringCertificate:
     scale: float
     witness: Callable[[np.ndarray], np.ndarray]
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    meta: dict = field(default_factory=dict)
 
     @property
     def n_points(self) -> int:
@@ -387,15 +385,6 @@ class ShatteringCertificate:
                 return False
         return True
 
-    def to_csv(self) -> str:
-        """One row per shattered point: index, threshold, scale, coordinates."""
-        dim = self.points.shape[1]
-        lines = ["index,threshold,scale," + ",".join(f"c{j}" for j in range(dim))]
-        for i in range(self.n_points):
-            coords = ",".join(f"{v:.10g}" for v in self.points[i])
-            lines.append(f"{i},{self.thresholds[i]:.10g},{self.scale:.10g},{coords}")
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class Link:
@@ -403,10 +392,9 @@ class Link:
 
     forward: Callable[[np.ndarray], np.ndarray]
     inverse: Callable[[np.ndarray], np.ndarray]
-    name: str = "custom"
 
 
-IDENTITY_LINK = Link(forward=lambda z: z, inverse=lambda z: z, name="identity")
+IDENTITY_LINK = Link(forward=lambda z: z, inverse=lambda z: z)
 
 
 def hadamard_glm_shatter(
@@ -443,8 +431,6 @@ def hadamard_glm_shatter(
         scale=target,
         witness=witness,
         evaluate=evaluate,
-        meta={"family": "hadamard-glm", "p": p, "link": link.name,
-              "amplitude": amplitude, "radius": radius},
     )
     if not cert.verify():
         raise RuntimeError("hadamard certificate failed self-verification")
@@ -495,7 +481,6 @@ def sparse_packing_shatter(p: int, s: int) -> ShatteringCertificate:
         scale=0.5,
         witness=witness,
         evaluate=evaluate,
-        meta={"family": "sparse-packing", "p": p, "s": s, "k": k},
     )
     if not cert.verify():
         raise RuntimeError("sparse packing certificate failed self-verification")

@@ -167,7 +167,6 @@ class Continuous1D:
 
     density: Callable[[np.ndarray], np.ndarray]
     sampler: Callable[[np.random.Generator, int], np.ndarray]
-    name: str = "custom"
 
     def __post_init__(self):
         grid = np.linspace(0.0, 1.0, PROBE_GRID_SIZE)
@@ -183,7 +182,6 @@ class Continuous1D:
         return cls(
             density=lambda x: np.ones_like(np.asarray(x, dtype=float)),
             sampler=lambda rng, n: rng.random(n),
-            name="uniform",
         )
 
 

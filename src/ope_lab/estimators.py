@@ -276,13 +276,10 @@ def _fit_first_stage(
         )
         if np.any(w_train > 0):
             model = regression.fit_weighted_krr(x, y, w_train, lam)
-            model.regressor_id = spec.regressor_id
         else:
             # with no weighted row the ridge objective's exact minimizer is
             # f = 0; cross-validation tied and chose the largest level
-            model = regression.KernelRidgeModel(
-                spec.regressor_id, knots=np.zeros(1), values=np.zeros(1), lambda_reg=lam
-            )
+            model = regression.KernelRidgeModel(knots=np.zeros(1), values=np.zeros(1), lambda_reg=lam)
     elif spec.regressor_id == "weighted-linear":
         model = regression.fit_weighted_linear(
             feature_map(x, a), y, w, ridge=spec.ridge, max_norm=spec.radius

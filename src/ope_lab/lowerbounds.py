@@ -37,48 +37,17 @@ class SupportError(ValueError):
         return type(self), (self.args[0], self.atom)
 
 
-@dataclass(frozen=True)
-class FiniteDistribution:
-    """Probability distribution on finitely many labelled atoms."""
-
-    atoms: tuple
-    probs: np.ndarray
-
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        # numpy scalar atoms become Python scalars: a message names 1.0, not np.float64(1.0)
-        atoms = tuple(a.item() if isinstance(a, np.generic) else a for a in self.atoms)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "probs", probs)
-        if len(self.atoms) != probs.size:
-            raise ValueError("atoms and probabilities must align")
-        if np.any(probs < 0):
-            raise ValueError("probabilities must be non-negative")
-        if abs(float(probs.sum()) - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {probs.sum()}, not 1 within 1e-12")
-
-    def product(self, other: "FiniteDistribution") -> "FiniteDistribution":
-        atoms = tuple((a, b) for a in self.atoms for b in other.atoms)
-        probs = np.kron(self.probs, other.probs)
-        return FiniteDistribution(atoms=atoms, probs=probs)
-
-    def power(self, k: int) -> "FiniteDistribution":
-        out = self
-        for _ in range(k - 1):
-            out = out.product(self)
-        return out
-
-
-def divergence(kind: str, p: FiniteDistribution, q: FiniteDistribution) -> float:
-    """Exact KL, chi-squared, or total variation between finite distributions."""
-    if p.atoms != q.atoms:
-        raise SupportError("distributions live on different atom sets", atom=None)
+def divergence(kind: str, p: FiniteStates, q: FiniteStates) -> float:
+    """Exact KL, chi-squared, or total variation between two laws on the
+    same finite states."""
+    if not np.array_equal(p.values, q.values):
+        raise SupportError("distributions live on different state values", atom=None)
     pp, qq = p.probs, q.probs
     if kind == "TV":
         return 0.5 * float(np.sum(np.abs(pp - qq)))
     bad = (qq == 0) & (pp > 0)
     if np.any(bad):
-        atom = p.atoms[int(np.argmax(bad))]
+        atom = float(p.values[int(np.argmax(bad))])
         raise SupportError(
             f"{kind} divergence undefined: q vanishes at atom {atom!r} with p > 0",
             atom=atom,
@@ -188,7 +157,7 @@ def tilted_instance(instance: ProblemInstance, n: int) -> PerturbationReport:
             gap=0.0,
             divergences={"chi2": 0.0, "kl": 0.0, "tv": 0.0},
             checks={"chi2_within_budget": True},
-            details={"tilted": FiniteDistribution(tuple(xs), probs)},
+            details={"tilted": instance.states},
             degenerate=True,
         )
     moment_ratio = float(np.sqrt(probs @ h**4) / (probs @ h**2))
@@ -201,11 +170,10 @@ def tilted_instance(instance: ProblemInstance, n: int) -> PerturbationReport:
     normalizer = float(weights.sum())
     tilted_probs = weights / normalizer
 
-    base = FiniteDistribution(tuple(xs), probs)
-    tilted = FiniteDistribution(tuple(xs), tilted_probs)
-    chi2 = divergence("CHI2", tilted, base)
-    kl = divergence("KL", tilted, base)
-    tv = divergence("TV", tilted, base)
+    tilted = FiniteStates(xs, tilted_probs)
+    chi2 = divergence("CHI2", tilted, instance.states)
+    kl = divergence("KL", tilted, instance.states)
+    tv = divergence("TV", tilted, instance.states)
     gap = float(tilted_probs @ per_state) - tau_star
 
     chi2_budget = 1.0 / (8.0 * n)

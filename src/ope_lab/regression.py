@@ -102,7 +102,6 @@ class KernelRidgeModel:
     """Sobolev-1 fit through (``knots``, ``values``): 0 and the sorted pooled
     weighted states, and f there, at ridge level ``lambda_reg``."""
 
-    regressor_id: str
     knots: np.ndarray
     values: np.ndarray
     lambda_reg: float
@@ -116,12 +115,9 @@ class KernelRidgeModel:
 class LinearModel:
     """Linear-in-features fit, optionally norm-constrained."""
 
-    regressor_id: str
     theta: np.ndarray
-    ridge: float = 0.0
     converged: bool = True
     kkt_residual: float = 0.0
-    radius: float | None = None
 
     def predict(self, features) -> np.ndarray:
         return np.asarray(features, dtype=float) @ self.theta
@@ -131,7 +127,6 @@ class LinearModel:
 class IsotonicModel:
     """Right-continuous non-decreasing step function of a scalar feature."""
 
-    regressor_id: str
     knots: np.ndarray
     levels: np.ndarray
 
@@ -238,9 +233,7 @@ def fit_weighted_krr(x, y, w, lambda_reg: float) -> KernelRidgeModel:
     if not (np.isfinite(lambda_reg) and lambda_reg > 0):
         raise ValueError(f"lambda_reg is {lambda_reg}, not a positive finite ridge level")
     knots, values = _spline_values(x, y, w, [lambda_reg])
-    return KernelRidgeModel(
-        regressor_id="weighted-krr", knots=knots, values=values[0], lambda_reg=float(lambda_reg)
-    )
+    return KernelRidgeModel(knots=knots, values=values[0], lambda_reg=float(lambda_reg))
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +269,7 @@ def fit_weighted_linear(
         norm = float(np.linalg.norm(theta))
         if norm > max_norm:
             theta = theta * (max_norm / norm)
-    return LinearModel(
-        regressor_id="weighted-linear", theta=theta, ridge=float(ridge), radius=max_norm
-    )
+    return LinearModel(theta=theta)
 
 
 # ---------------------------------------------------------------------------
@@ -339,15 +330,11 @@ def fit_l1_constrained(
     _require_non_negative(radius=radius)
     d = phi.shape[1]
     if radius == 0.0:
-        return LinearModel(
-            regressor_id="l1-constrained", theta=np.zeros(d), radius=0.0
-        )
+        return LinearModel(theta=np.zeros(d))
     gram = phi.T @ (w[:, None] * phi)
     lmax = _power_iteration_lmax(gram)
     if lmax <= 0.0:
-        return LinearModel(
-            regressor_id="l1-constrained", theta=np.zeros(d), radius=radius
-        )
+        return LinearModel(theta=np.zeros(d))
     step = 1.0 / lmax
     theta = np.zeros(d)
 
@@ -373,9 +360,7 @@ def fit_l1_constrained(
             break
     gm = gradient_mapping(theta)
     return LinearModel(
-        regressor_id="l1-constrained",
         theta=theta,
-        radius=radius,
         converged=converged,
         kkt_residual=float(np.max(np.abs(gm))) if gm.size else 0.0,
     )
@@ -417,7 +402,7 @@ def fit_weighted_isotonic(t, y, w) -> IsotonicModel:
             merged_w = wp + wv
             blocks.append([(lp * wp + lv * wv) / merged_w, merged_w, cp + cv])
     out = np.concatenate([np.full(int(c), lv) for lv, _, c in blocks])
-    return IsotonicModel(regressor_id="weighted-isotonic", knots=knots, levels=out)
+    return IsotonicModel(knots=knots, levels=out)
 
 
 # ---------------------------------------------------------------------------

@@ -372,6 +372,50 @@ def test_localized_class_rejects_a_negative_radius():
         LocalizedClassSpec("singleton-zero", -1.0)
 
 
+INPUT_CHECKS = {
+    "ellipsoid-without-sigma": (
+        lambda: LocalizedClassSpec("linear-ellipsoid", 1.0, scalar_feature),
+        r"^linear-ellipsoid needs feature_map and sigma_matrix$",
+    ),
+    "asymmetric-sigma": (
+        lambda: LocalizedClassSpec(
+            "linear-ellipsoid", 1.0, scalar_feature, sigma_matrix=np.array([[1.0, 0.5], [0.0, 1.0]])
+        ),
+        r"^sigma_matrix must be symmetric$",
+    ),
+    "l1-ball-without-radius": (
+        lambda: LocalizedClassSpec("l1-ball", 1.0, scalar_feature),
+        r"^l1-ball needs feature_map and l1_radius$",
+    ),
+    "unknown-multiplier": (
+        lambda: rademacher_S_mc(make_d1(1.0), l1_spec(), m=5, multiplier="noise", reps=2),
+        r"^unknown multiplier 'noise'$",
+    ),
+    "unknown-kind": (
+        lambda: critical_radius(make_d1(1.0), l1_spec(), m=5, kind="t", reps=2),
+        r"^kind must be 's' or 'r'$",
+    ),
+    "closed-form-on-l1-ball": (
+        lambda: critical_radius(make_d1(1.0), l1_spec(), m=5, source="closed-form-linear"),
+        r"^closed-form-linear applies to the linear class$",
+    ),
+    "unknown-source": (
+        lambda: critical_radius(make_d1(1.0), l1_spec(), m=5, source="exact", reps=2),
+        r"^unknown complexity source 'exact'$",
+    ),
+    "packing-block-not-power-of-two": (
+        lambda: sparse_packing_shatter(12, 4), r"^p / s must be a power of two$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
+def test_an_input_check_raises_its_message(case):
+    call, message = INPUT_CHECKS[case]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_closed_form_plain_radius_threshold():
     inst = make_d1(1.0)
     sigma = np.eye(4)
@@ -553,7 +597,7 @@ def test_hadamard_witness_norm_inside_ball():
 
 
 def test_hadamard_nonlinear_link():
-    cube = Link(forward=lambda z: z**3, inverse=lambda z: np.cbrt(z), name="cube")
+    cube = Link(forward=lambda z: z**3, inverse=lambda z: np.cbrt(z))
     cert = hadamard_glm_shatter(4, cube, amplitude=0.7, radius=1.3)
     assert cert.verify()
 
@@ -564,10 +608,7 @@ def test_hadamard_rejects_bad_p():
 
 
 def test_hadamard_rejects_undefined_inverse():
-    bad = Link(
-        forward=lambda z: z, inverse=lambda z: np.where(np.abs(z) > 0.5, np.nan, z),
-        name="clipped",
-    )
+    bad = Link(forward=lambda z: z, inverse=lambda z: np.where(np.abs(z) > 0.5, np.nan, z))
     with pytest.raises(ValueError):
         hadamard_glm_shatter(2, bad, amplitude=1.0, radius=1.0)
 
@@ -608,14 +649,6 @@ def test_verification_catches_corruption():
     assert not broken.verify()
 
 
-def test_certificate_csv():
-    cert = sparse_packing_shatter(4, 2)
-    text = cert.to_csv()
-    lines = text.strip().split("\n")
-    assert lines[0].startswith("index,threshold,scale,c0")
-    assert len(lines) == 1 + cert.n_points
-
-
 def _per_pattern_verify(cert, tol=VERIFY_TOL, seed=0):
     """The check as it was before blocks: one witness and one evaluate call
     per sign pattern, the patterns from itertools.product or one size-d
@@ -633,7 +666,7 @@ def _per_pattern_verify(cert, tol=VERIFY_TOL, seed=0):
     return True
 
 
-CUBE = Link(forward=lambda z: z**3, inverse=lambda z: np.cbrt(z), name="cube")
+CUBE = Link(forward=lambda z: z**3, inverse=lambda z: np.cbrt(z))
 CERTIFICATES = {
     "hadamard-2": lambda: hadamard_glm_shatter(2),
     "hadamard-4": lambda: hadamard_glm_shatter(4),

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from ope_lab.core import (
     write_dataset_csv,
 )
 from ope_lab.quadrature import QuadratureError, adaptive_simpson
-from ope_lab.rng import make_generator
+from ope_lab.rng import make_generator, mix_seed
 
 from conftest import instance_from_random_tables, make_d1, random_finite_tables
 from oracles import (
@@ -37,6 +38,7 @@ def const_fn(c):
 def test_simpson_polynomial_exact():
     val = adaptive_simpson(lambda x: 3 * x**2, 0.0, 1.0)
     assert abs(val - 1.0) < 1e-12
+    assert adaptive_simpson(lambda x: 3 * x**2, 0.3, 0.3) == 0.0
 
 
 def test_simpson_kinked_integrand():
@@ -630,8 +632,87 @@ def test_dataset_rejects_non_finite_naming_row(column, bad):
         ol.Dataset(**cols, seed=0, instance_id="d1")
 
 
+def test_read_dataset_csv_skips_blank_lines_and_needs_a_row(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("# seed=3 instance_id=d1\n\nx,a,y\n0,1,2.0\n\n1,0,0.5\n")
+    back = read_dataset_csv(path)
+    assert (back.seed, back.instance_id) == (3, "d1")
+    assert np.array_equal(np.column_stack([back.x, back.a, back.y]), [[0.0, 1.0, 2.0], [1.0, 0.0, 0.5]])
+    path.write_text("# seed=3 instance_id=d1\nx,a,y\n\n")
+    with pytest.raises(ValueError, match=rf"^no data rows in {re.escape(str(path))}$"):
+        read_dataset_csv(path)
+
+
 def test_read_dataset_csv_rejects_non_finite(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("# seed=3 instance_id=d1\nx,a,y\n0,1,2.0\n1,0,0.5\n1,1,nan\n")
     with pytest.raises(ValueError, match="row 2 is not finite"):
         read_dataset_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# input checks
+# ---------------------------------------------------------------------------
+
+
+UNIFORM_SAMPLER = lambda rng, n: rng.random(n)
+INPUT_CHECKS = {
+    "action-weights-length": (
+        lambda: ol.ActionSpace([0.0, 1.0], [1.0]),
+        ValueError, r"^base_weights must match labels in length$",
+    ),
+    "states-empty": (lambda: ol.FiniteStates([], []), ValueError, r"^finite state space must be non-empty$"),
+    "states-repeated": (
+        lambda: ol.FiniteStates([0.0, 0.0], [0.5, 0.5]), ValueError, r"^state values must be distinct$",
+    ),
+    "states-probs-length": (
+        lambda: ol.FiniteStates([0.0, 1.0], [1.0]), ValueError, r"^probs must match state values in length$",
+    ),
+    "density-negative": (
+        lambda: ol.Continuous1D(density=lambda x: 4.0 * x - 1.0, sampler=UNIFORM_SAMPLER),
+        ValueError, r"^density must be non-negative on \[0, 1\]$",
+    ),
+    "density-mass": (
+        lambda: ol.Continuous1D(density=lambda x: np.full(np.shape(x), 2.0), sampler=UNIFORM_SAMPLER),
+        ValueError, r"^density integrates to 2\.0, not 1 within 1e-8$",
+    ),
+    "propensity-shape": (
+        lambda: dataclasses.replace(make_d1(1.0), propensity=lambda x: np.ones((np.size(x), 1))),
+        ValueError, r"^propensity\(x\) must return shape \(n, 2\)$",
+    ),
+    "dataset-lengths": (
+        lambda: ol.Dataset(x=[0.0, 1.0], a=[1.0], y=[2.0, 0.5], seed=0, instance_id="d1"),
+        ValueError, r"^x, a, y must be equal-length vectors$",
+    ),
+    "dataset-empty": (
+        lambda: ol.Dataset(x=[], a=[], y=[], seed=0, instance_id="d1"),
+        ValueError, r"^dataset must contain at least one triple$",
+    ),
+    "to-json-custom": (
+        lambda: instance_to_json(dataclasses.replace(make_d1(1.0), meta={})),
+        ValueError, r"^only table-backed finite instances and named builtins are serializable$",
+    ),
+    "from-json-kind": (
+        lambda: finite_instance_from_json({"kind": "builtin"}),
+        ValueError, r"^expected kind 'finite', got 'builtin'$",
+    ),
+    "simpson-reversed": (lambda: adaptive_simpson(np.exp, 1.0, 0.0), ValueError, r"^requires a <= b$"),
+    "simpson-first-mesh": (
+        lambda: adaptive_simpson(lambda x: np.where(x == 0.5, np.nan, 1.0)),
+        QuadratureError, r"^integrand not finite$",
+    ),
+    "simpson-inside": (
+        lambda: adaptive_simpson(lambda x: np.where(x == 0.25, np.inf, 1.0)),
+        QuadratureError, r"^integrand not finite on \[0\.0, 1\.0\]$",
+    ),
+    "mix-seed-float": (
+        lambda: mix_seed(1, 0.5), TypeError, r"^seed parts must be int or str, got <class 'float'>$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
+def test_an_input_check_raises_its_message(case):
+    call, error, message = INPUT_CHECKS[case]
+    with pytest.raises(error, match=message):
+        call()

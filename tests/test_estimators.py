@@ -252,6 +252,27 @@ def test_first_stage_spec_rejects_a_field_its_regressor_does_not_read(regressor,
     assert ol.FirstStageSpec(regressor_id=regressor, **read).regressor_id == regressor
 
 
+@pytest.mark.parametrize("options, message", [
+    ({"regressor_id": "ridge"}, r"^unknown regressor 'ridge'; known: \('weighted-krr', 'unweighted-krr', "),
+    ({"regressor_id": "weighted-krr", "folds": 1}, r"^folds must be at least 2$"),
+    ({"regressor_id": "frozen"}, r"^frozen first stage requires frozen_fn$"),
+], ids=["unknown-regressor", "one-fold", "frozen-without-function"])
+def test_first_stage_spec_rejects_an_unknown_regressor_or_a_missing_part(options, message):
+    with pytest.raises(ValueError, match=message):
+        ol.FirstStageSpec(**options)
+
+
+def test_a_callable_feature_map_fits_as_its_named_twin(d1_noisy):
+    data = ol.sample_dataset(d1_noisy, 40, seed=4)
+    named = ol.FirstStageSpec(regressor_id="weighted-linear", feature_map="bilinear-xa")
+    bilinear = regression.FEATURE_MAPS["bilinear-xa"]
+    own = dataclasses.replace(named, feature_map=lambda x, a: bilinear(x, a))
+    want, got = (ol.two_stage_estimate(data, d1_noisy, spec, seed=0) for spec in (named, own))
+    assert (got.tau_hat, got.plugin_variance, got.fit_distance) == (
+        want.tau_hat, want.plugin_variance, want.fit_distance
+    )
+
+
 def test_two_stage_needs_enough_data(d1):
     data = ol.sample_dataset(d1, 8, seed=12)
     with pytest.raises(ValueError):
@@ -534,7 +555,7 @@ def test_kernel_first_stage_models_carry_the_spec_id(regressor):
     data = ol.sample_dataset(instance, 40, seed=4)
     report = ol.two_stage_estimate(data, instance, ol.FirstStageSpec(regressor_id=regressor), seed=0)
     for fit in report.first_stage_models:
-        assert fit.regressor_id == fit.model.regressor_id == regressor
+        assert fit.regressor_id == regressor
 
 
 def test_an_auxiliary_is_evaluated_once_per_generic_estimate(d1):

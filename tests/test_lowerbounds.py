@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import ope_lab as ol
+from ope_lab import FiniteStates, simlab
 from ope_lab.lowerbounds import (
     CSV_HEADER,
-    FiniteDistribution,
+    PerturbationReport,
     SupportError,
     delta_mixture,
     divergence,
@@ -15,10 +16,10 @@ from ope_lab.lowerbounds import (
 from conftest import instance_from_random_tables, make_d1, random_finite_tables
 
 
-def random_distribution(rng, atoms, floor=0.0):
-    p = rng.random(len(atoms)) + floor
+def random_distribution(rng, values, floor=0.0):
+    p = rng.random(len(values)) + floor
     p /= p.sum()
-    return FiniteDistribution(tuple(atoms), p)
+    return FiniteStates(values, p)
 
 
 # ---------------------------------------------------------------------------
@@ -27,55 +28,60 @@ def random_distribution(rng, atoms, floor=0.0):
 
 
 def test_divergence_zero_at_equality():
-    p = FiniteDistribution(("a", "b", "c"), np.array([0.2, 0.3, 0.5]))
+    p = FiniteStates([0.0, 1.0, 2.0], np.array([0.2, 0.3, 0.5]))
     for kind in ("KL", "CHI2", "TV"):
         assert divergence(kind, p, p) == 0.0
 
 
 def test_divergence_two_atom_values():
-    p = FiniteDistribution((0, 1), np.array([0.4, 0.6]))
-    q = FiniteDistribution((0, 1), np.array([0.5, 0.5]))
+    p = FiniteStates([0.0, 1.0], np.array([0.4, 0.6]))
+    q = FiniteStates([0.0, 1.0], np.array([0.5, 0.5]))
     assert abs(divergence("CHI2", p, q) - 0.04) < 1e-15
     assert abs(divergence("TV", p, q) - 0.1) < 1e-15
 
 
 def test_divergence_support_violation():
-    p = FiniteDistribution((0, 1), np.array([0.5, 0.5]))
-    q = FiniteDistribution((0, 1), np.array([1.0, 0.0]))
-    with pytest.raises(SupportError) as err:
+    p = FiniteStates([0.0, 1.0], np.array([0.5, 0.5]))
+    q = FiniteStates([0.0, 1.0], np.array([1.0, 0.0]))
+    # the atom is named as a plain number, not as np.float64(1.0)
+    with pytest.raises(SupportError, match=r"q vanishes at atom 1\.0 with p > 0$") as err:
         divergence("KL", p, q)
-    assert err.value.atom == 1
+    assert err.value.atom == 1.0 and type(err.value.atom) is float
     assert divergence("TV", p, q) == 0.5
-    mismatched = FiniteDistribution((0, 2), np.array([0.5, 0.5]))
-    with pytest.raises(SupportError):
+    mismatched = FiniteStates([0.0, 2.0], np.array([0.5, 0.5]))
+    with pytest.raises(SupportError, match="different state values") as err:
         divergence("KL", p, mismatched)
-    # atoms taken from a numpy array are named as plain numbers
-    p = FiniteDistribution(tuple(np.array([0.0, 1.0])), [0.5, 0.5])
-    q = FiniteDistribution(tuple(np.array([0.0, 1.0])), [1.0, 0.0])
-    with pytest.raises(SupportError, match=r"q vanishes at atom 1\.0 with p > 0$"):
-        divergence("KL", p, q)
+    assert err.value.atom is None
 
 
 def test_pinsker_on_random_pairs():
     rng = np.random.default_rng(31)
-    atoms = list(range(5))
+    values = np.arange(5.0)
     for _ in range(1000):
-        p = random_distribution(rng, atoms, floor=0.01)
-        q = random_distribution(rng, atoms, floor=0.01)
+        p = random_distribution(rng, values, floor=0.01)
+        q = random_distribution(rng, values, floor=0.01)
         tv = divergence("TV", p, q)
         kl = divergence("KL", p, q)
         assert tv <= np.sqrt(kl / 2.0) + 1e-12
 
 
+def _power(law: FiniteStates, k: int) -> FiniteStates:
+    """The law of k independent draws from ``law``, one state per k-tuple."""
+    probs = law.probs
+    for _ in range(k - 1):
+        probs = np.kron(probs, law.probs)
+    return FiniteStates(np.arange(probs.size, dtype=float), probs)
+
+
 def test_kl_tensorization():
     rng = np.random.default_rng(32)
-    atoms = list(range(3))
+    values = np.arange(3.0)
     for _ in range(20):
-        p = random_distribution(rng, atoms, floor=0.05)
-        q = random_distribution(rng, atoms, floor=0.05)
+        p = random_distribution(rng, values, floor=0.05)
+        q = random_distribution(rng, values, floor=0.05)
         kl1 = divergence("KL", p, q)
         for k in (2, 3):
-            klk = divergence("KL", p.power(k), q.power(k))
+            klk = divergence("KL", _power(p, k), _power(q, k))
             assert abs(klk - k * kl1) < 1e-10
 
 
@@ -234,6 +240,39 @@ def test_delta_mixture_rejects_bad_inputs():
         delta_mixture(inst, const, s=50.0)  # above the moment-ratio cap
     with pytest.raises(ValueError):
         delta_mixture(inst, const, s=-0.1)
+
+
+HALVES = FiniteStates([0.0, 1.0], [0.5, 0.5])
+CONST = lambda x, a: np.full(np.broadcast(x, a).shape, 1.0)
+INPUT_CHECKS = {
+    "unknown-divergence": (
+        lambda: divergence("hellinger", HALVES, HALVES), ValueError, r"^unknown divergence kind 'hellinger'$",
+    ),
+    "report-without-tweak": (
+        lambda: PerturbationReport(kind="tilted-state", tweak=0.0, gap=0.0), ValueError,
+        r"^perturbation size must be positive$",
+    ),
+    "report-non-finite-divergence": (
+        lambda: PerturbationReport(kind="tilted-state", tweak=0.1, gap=0.0, divergences={"kl": np.inf}),
+        ValueError, r"^divergence kl is not finite$",
+    ),
+    "continuous-instance": (
+        lambda: tilted_instance(simlab.build_builtin_instance("pi1"), 64), TypeError,
+        r"^lower-bound constructions require a finite state space$",
+    ),
+    "tilt-n": (lambda: tilted_instance(make_d1(1.0), 0), ValueError, r"^n must be positive$"),
+    "sigma-pair-n": (lambda: sigma_perturbed_pair(make_d1(1.0), 0), ValueError, r"^n must be positive$"),
+    "mixture-reps": (
+        lambda: delta_mixture(make_d1(0.0), CONST, s=0.1, reps=0), ValueError, r"^reps must be positive$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
+def test_an_input_check_raises_its_message(case):
+    call, error, message = INPUT_CHECKS[case]
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_report_serialization():

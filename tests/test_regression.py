@@ -13,6 +13,7 @@ from ope_lab.regression import (
     fit_weighted_krr,
     fit_weighted_linear,
     project_l1_ball,
+    resolve_feature_map,
 )
 from ope_lab.rng import make_generator, mix_seed
 
@@ -127,8 +128,9 @@ def test_a_ridge_level_that_is_not_positive_and_finite_is_rejected_where_it_ente
 
 def test_krr_non_finite_solve_raises():
     x, y, w = np.array([0.2, 0.6]), np.array([1e300, 1e300]), np.array([1e10, 1e10])
-    with pytest.raises(RegressionError, match="lambda 1 with 2 knots"):
-        fit_weighted_krr(x, y, w, 1.0)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(RegressionError, match="lambda 1 with 2 knots"):
+            fit_weighted_krr(x, y, w, 1.0)
 
 
 def _tied_data(seed):
@@ -293,6 +295,12 @@ def test_l1_two_feature_example_matches_grid_search():
 def test_l1_zero_radius():
     model = fit_l1_constrained(np.eye(3), np.ones(3), np.ones(3), radius=0.0)
     assert np.all(model.theta == 0.0)
+
+
+def test_l1_without_weight_is_zero():
+    # the weighted Gram matrix is 0: power iteration stops at a zero norm
+    model = fit_l1_constrained(np.eye(3), np.ones(3), np.zeros(3), radius=1.0)
+    assert np.array_equal(model.theta, np.zeros(3))
 
 
 def test_l1_kkt_residual_small():
@@ -541,15 +549,17 @@ def test_cv_rejects_a_non_finite_loss():
     rng = np.random.default_rng(16)
     x = rng.random(20)
     y = 1e200 * (1.0 + rng.random(20))  # finite, but squared residuals overflow
-    with pytest.raises(RegressionError, match=r"lambda 0\.1 on fold 0"):
-        cross_validate_lambda(x, y, np.ones(20), grid=[0.1, 1.0], folds=4, seed=0)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(RegressionError, match=r"lambda 0\.1 on fold 0"):
+            cross_validate_lambda(x, y, np.ones(20), grid=[0.1, 1.0], folds=4, seed=0)
 
 
 def test_cv_rejects_a_non_finite_solve_naming_its_smallest_level():
     x = np.linspace(0.1, 0.9, 8)
     y, w = np.full(8, 1e300), np.full(8, 1e10)  # W y overflows at every level
-    with pytest.raises(RegressionError, match="not finite at lambda 1 with 6 knots"):
-        cross_validate_lambda(x, y, w, grid=[10.0, 1.0], folds=4, seed=0)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(RegressionError, match="not finite at lambda 1 with 6 knots"):
+            cross_validate_lambda(x, y, w, grid=[10.0, 1.0], folds=4, seed=0)
 
 
 def test_cv_requires_enough_points():
@@ -601,3 +611,43 @@ def test_isotonic_rejects_non_finite_input_by_row(name, bad):
     data[name][2] = bad
     with pytest.raises(ValueError, match=rf"^{name}\[2\] is not finite$"):
         fit_weighted_isotonic(data["t"], data["y"], data["w"])
+
+
+# ---------------------------------------------------------------------------
+# input checks
+# ---------------------------------------------------------------------------
+
+
+X3 = np.array([0.1, 0.5, 0.9])
+INPUT_CHECKS = {
+    "unknown-feature-map": (
+        lambda: resolve_feature_map("cubic"), KeyError,
+        r"unknown feature map 'cubic'; known: \['bilinear-xa', 'state', 'state-linear'\]",
+    ),
+    "kernel-lengths": (
+        lambda: fit_weighted_krr(X3, X3[:2], np.ones(3), 1.0), ValueError,
+        r"^x, y, w must be equal-length vectors$",
+    ),
+    "linear-features-not-2d": (
+        lambda: fit_weighted_linear(X3, X3, np.ones(3)), ValueError, r"^features must be a 2-d array$",
+    ),
+    "isotonic-lengths": (
+        lambda: fit_weighted_isotonic(X3, X3, np.ones(2)), ValueError,
+        r"^t, y, w must be equal-length vectors$",
+    ),
+    "isotonic-zero-weight": (
+        lambda: fit_weighted_isotonic(X3, X3, np.array([1.0, 0.0, 1.0])), ValueError,
+        r"^weights must be strictly positive$",
+    ),
+    "cv-one-fold": (
+        lambda: cross_validate_lambda(X3, X3, np.ones(3), grid=[1.0, 2.0], folds=1), ValueError,
+        r"^folds must be at least 2$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
+def test_an_input_check_raises_its_message(case):
+    call, error, message = INPUT_CHECKS[case]
+    with pytest.raises(error, match=message):
+        call()

@@ -3,12 +3,13 @@ import dataclasses
 import hashlib
 import json
 import pickle
+import re
 
 import numpy as np
 import pytest
 
 import ope_lab as ol
-from ope_lab import cli, complexity, core, estimators, simlab
+from ope_lab import cli, complexity, core, estimators, lowerbounds, simlab
 from ope_lab.core import PropensityError, save_instance, write_dataset_csv
 from ope_lab.estimators import ESTIMATOR_IDS, FirstStageError
 from ope_lab.lowerbounds import SupportError
@@ -62,6 +63,15 @@ def test_builtin_rejects_bad_params():
         build_builtin_instance("pi3")
     with pytest.raises(ValueError):
         build_builtin_instance("pi1", gamma=1.5)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"kind": "builtin", "name": "tent"}, r"^unknown builtin 'tent'$"),
+    ({"kind": "tables"}, r"^unknown instance kind 'tables'$"),
+], ids=["unknown-builtin", "unknown-kind"])
+def test_instance_from_json_names_an_unknown_builtin_or_kind(doc, message):
+    with pytest.raises(ValueError, match=message):
+        simlab.instance_from_json(doc)
 
 
 def test_instance_round_trip_through_json(tmp_path):
@@ -285,9 +295,10 @@ def test_config_validation():
     ("folds", 1, r"^folds must be at least 2$"),
     ("lambda_grid", (np.nan,), r"^lambda_grid\[0\] is nan, not a positive finite ridge level$"),
     ("lambda_grid", (), r"^lambda_grid must be non-empty$"),
+    ("threads", 0, r"^threads must be at least 1$"),
 ], ids=[
     "repeated-n", "zero-n", "repeated-estimator", "empty-n-grid", "empty-estimators",
-    "one-fold", "nan-ridge-level", "empty-lambda-grid",
+    "one-fold", "nan-ridge-level", "empty-lambda-grid", "no-thread",
 ])
 def test_config_rejects_a_repeated_cell_or_an_empty_sample(key, value, message):
     # a repeated estimator or sample size would run and write the same cell
@@ -492,6 +503,14 @@ def test_result_row_rejects_non_finite_or_negative(field, bad):
         ResultRow("inst", "ipw", 200, 5, values["normalized_mse"], values["mc_stderr"], 7)
 
 
+def test_read_results_csv_needs_its_header(tmp_path):
+    path = str(tmp_path / "no-header.csv")
+    with open(path, "w") as fh:
+        fh.write("inst,ipw,100,5,1.25,0.125,7\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(repr(path))} does not carry the results header$"):
+        read_results_csv(path)
+
+
 def test_results_write_failure_carries_path():
     with pytest.raises(OSError) as err:
         write_results_csv(sample_table(), "/nonexistent-dir/file.csv")
@@ -518,6 +537,15 @@ def test_cli_simulate_round_trip(tmp_path, capsys):
     assert code == 0
     table = read_results_csv(out_path)
     assert len(table.rows) == 2
+
+
+def test_cli_simulate_without_out_writes_the_table_to_stdout(tmp_path, capsys):
+    config = {"instance": builtin_doc(sigma0=0.1), "estimators": ["oracle", "ipw"], "n_grid": [50],
+              "reps": 3, "master_seed": 5}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert cli.main(["simulate", "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().out == run_experiment(ExperimentConfig.from_json(config)).to_csv()
 
 
 def test_cli_seed_and_reps_overrides(tmp_path):
@@ -611,6 +639,27 @@ def test_cli_lowerbound_and_diagnose(tmp_path, capsys):
         "--reps", "100",
     ]) == 0
     assert '"probability": 1.0' in capsys.readouterr().out
+
+
+HALF_DELTA = lambda x, a: np.full(np.broadcast(x, a).shape, 0.5)
+
+
+@pytest.mark.parametrize("command, options, construct", [
+    ("tilt", ["--n", "64"], lambda inst: lowerbounds.tilted_instance(inst, n=64)),
+    ("sigma-pair", ["--n", "64"], lambda inst: lowerbounds.sigma_perturbed_pair(inst, n=64)),
+    (
+        "mixture", ["--s", "0.1", "--delta", "0.5", "--reps", "20", "--seed", "3"],
+        lambda inst: lowerbounds.delta_mixture(inst, HALF_DELTA, s=0.1, reps=20, seed=3),
+    ),
+])
+def test_cli_lowerbound_prints_the_library_report(tmp_path, capsys, command, options, construct):
+    inst = make_d1(1.0)
+    inst_path = tmp_path / "inst.json"
+    save_instance(inst, inst_path)
+    assert cli.main(["lowerbound", command, "--instance", str(inst_path), *options]) == 0
+    report = construct(inst)
+    want = f"{report.to_text()}\n{lowerbounds.CSV_HEADER}\n{report.csv_row()}\n"
+    assert capsys.readouterr().out == want
 
 
 @pytest.mark.parametrize("args, points, scale", [
@@ -719,6 +768,18 @@ def test_cli_diagnose_critical_radius_and_profile(tmp_path, capsys):
     assert lines[0] == "r,estimate,stderr" and len(lines) == 3
 
 
+def test_cli_rademacher_profile_without_out_writes_to_stdout(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    save_instance(make_d1(1.0), inst_path)
+    args = ["diagnose", "rademacher-profile", "--instance", str(inst_path), "--m", "20",
+            "--reps", "50", "--radii", "0.5", "2.0"]
+    out = tmp_path / "profile.csv"
+    assert cli.main([*args, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out == out.read_text()
+
+
 def test_cli_rademacher_profile_scales_one_estimate(tmp_path, monkeypatch):
     inst = make_d1(1.0)
     inst_path = tmp_path / "inst.json"
@@ -749,7 +810,6 @@ def test_cli_rademacher_profile_scales_one_estimate(tmp_path, monkeypatch):
         direct = mc(inst, spec.with_radius(r), m=20, reps=200, seed=4)
         assert est.value == pytest.approx(direct.value, rel=1e-12)
         assert est.stderr == pytest.approx(direct.stderr, rel=1e-12)
-        assert est.reps == direct.reps
 
 
 def test_finite_custom_instance_by_path(tmp_path):
