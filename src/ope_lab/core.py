@@ -15,13 +15,15 @@ All expectations are computed exactly: enumeration for finite state spaces,
 adaptive Simpson quadrature for one-dimensional continuous states on [0, 1].
 
 A finite instance is its tables: construction evaluates the propensity,
-weight, mean and sd on every (state, action) pair, and the instance is then
-sampled and scored by (state index, action index).  A draw or an
-estimator locates its pairs once (``ProblemInstance.locate``), as ``Pairs``
-that carry each pair's action index, the propensity rows at its states and,
-on a finite instance, its state index; any other function (an auxiliary, a
-first-stage fit) is evaluated once per call on the same grid and read by
-index.  Continuous instances are evaluated at the pairs' own states.
+weight, mean and sd on every (state, action) pair, and forms from them each
+state's partial sums of lambda(a) pi(x, a) over the actions and g/pi per
+pair; the instance is then sampled and scored by (state index, action
+index).  A draw or an estimator locates its pairs once
+(``ProblemInstance.locate``), as ``Pairs`` that carry each pair's action
+index, the propensity rows at its states and, on a finite instance, its
+state index; any other function (an auxiliary, a first-stage fit) is
+evaluated once per call on the same grid and read by index.  Continuous
+instances are evaluated at the pairs' own states.
 
 A dataset from ``sample_dataset`` keeps the pairs it was drawn as, linked to
 the instance object that drew it: an estimator scoring it against that same
@@ -251,7 +253,7 @@ class ProblemInstance:
         # the checks above already reject a NaN or inf propensity
         for name, grid in (("weight_fn", weight), ("outcome_mean", mean), ("outcome_sd", sd)):
             _require_finite_cells(name, grid, probe, self.actions.labels)
-        grids = ()
+        grids, action_sums, ratio = (), None, None
         if isinstance(self.states, FiniteStates):
             grids = (
                 (self.propensity, pmat),
@@ -259,7 +261,12 @@ class ProblemInstance:
                 (self.outcome_mean, mean),
                 (self.outcome_sd, sd),
             )
+            # what a draw and an estimator read per pair, formed once per cell
+            action_sums = _action_partial_sums(pmat, self.actions.base_weights, probe, "state")
+            ratio = weight / pmat
         object.__setattr__(self, "_grids", grids)
+        object.__setattr__(self, "_action_sums", action_sums)
+        object.__setattr__(self, "_ratio", ratio)
 
     # -- evaluation helpers -------------------------------------------------
 
@@ -521,47 +528,55 @@ def _located(instance: ProblemInstance, data: Dataset) -> Pairs:
 # ---------------------------------------------------------------------------
 
 
+def _action_partial_sums(pmat: np.ndarray, weights: np.ndarray, x: np.ndarray, where: str) -> list:
+    """The partial sums but the last of lambda(a) pi(x_i, a) over the actions
+    in order, from the propensity rows at states x.  A negative term, or a
+    full sum off 1 by more than NORMALIZATION_TOL, raises naming its state."""
+    joint = [pmat[:, k] * weights[k] for k in range(weights.size)]
+    if not all(col.min() >= 0 for col in joint):
+        bad = int(np.argmin(np.logical_and.reduce([col >= 0 for col in joint])))
+        raise PropensityError(
+            f"negative action probability at {where} {x[bad]}", state=float(x[bad])
+        )
+    partial, acc = [], joint[0]
+    for col in joint[1:]:
+        partial.append(acc)
+        acc = acc + col
+    deviation = np.abs(acc - 1.0)
+    worst = int(np.argmax(deviation))
+    if not deviation[worst] <= NORMALIZATION_TOL:
+        raise PropensityError(
+            f"propensity at {where} {x[worst]} has mass {acc[worst]}", state=float(x[worst])
+        )
+    return partial
+
+
 def _draw_pairs(instance: ProblemInstance, n: int, rng: np.random.Generator) -> Pairs:
     """Draw n states from the state law, then an action from pi(X, .) each,
     as located pairs.
 
     The generator is advanced by one ``rng.random(n)`` searched in the state
     cdf (the steps of ``rng.choice(size, p=probs)``, finite states) or by the
-    state sampler, then by one ``rng.random(n)``.
+    state sampler, then by one ``rng.random(n)``, u.  The action is the
+    number of partial sums of lambda(a) pi(x, a) below u (the steps of
+    ``np.cumsum`` without the full sum): a finite instance reads them from
+    its table, a continuous one forms and checks them at the drawn states.
     """
     if isinstance(instance.states, FiniteStates):
         si = instance.states._cdf.searchsorted(rng.random(n), side="right")
-        x = instance.states.values[si]
+        x = instance.states.values.take(si)
         pmat = instance._grid(instance.propensity)[si]
+        partial = [sums.take(si) for sums in instance._action_sums]
     else:
         si = None
         x = np.asarray(instance.states.sampler(rng, n), dtype=float)
         pmat = np.asarray(instance.propensity(x), dtype=float)
-    weights = instance.actions.base_weights
-    # lambda(a) pi(x, a), one column per action
-    joint = [pmat[:, k] * weights[k] for k in range(weights.size)]
-    if not all(col.min() >= 0 for col in joint):
-        bad = int(np.argmin(np.logical_and.reduce([col >= 0 for col in joint])))
-        raise PropensityError(
-            f"negative action probability at sampled state {x[bad]}",
-            state=float(x[bad]),
-        )
-    # the action is the number of partial sums below u, except the last one;
-    # adding the columns in order gives np.cumsum's partial sums bit for bit
+        partial = _action_partial_sums(pmat, instance.actions.base_weights, x, "sampled state")
     u = rng.random(n)
-    acc = joint[0]  # summed into in place; joint is not read again
     ai = np.zeros(n, dtype=np.intp)
-    for col in joint[1:]:
-        ai += acc < u
-        acc += col
-    deviation = np.abs(acc - 1.0)
-    worst = int(np.argmax(deviation))
-    if not deviation[worst] <= NORMALIZATION_TOL:
-        raise PropensityError(
-            f"propensity at sampled state {x[worst]} has mass {acc[worst]}",
-            state=float(x[worst]),
-        )
-    return Pairs(x, instance.actions.labels[ai], ai, si, pmat)
+    for sums in partial:
+        ai += sums < u
+    return Pairs(x, instance.actions.labels.take(ai), ai, si, pmat)
 
 
 def sample_dataset(instance: ProblemInstance, n: int, seed: int) -> Dataset:
@@ -612,8 +627,10 @@ def _values_and_rows(instance: ProblemInstance, fn, pairs: Pairs):
 
 
 def _likelihood_ratio(instance: ProblemInstance, pairs: Pairs, g_vals=None) -> np.ndarray:
-    """g/pi at located pairs, from g's values there when given; zero
-    propensity raises naming the pair."""
+    """g/pi at located pairs, from g's values there when given (a finite
+    instance reads its table); zero propensity raises naming the pair."""
+    if pairs.si is not None:
+        return instance._ratio[pairs.si, pairs.ai]
     pi_vals = _pair_values(instance, instance.propensity, pairs)
     if g_vals is None:
         g_vals = _pair_values(instance, instance.weight_fn, pairs)

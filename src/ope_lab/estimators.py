@@ -26,6 +26,7 @@ Cross-validation inside each half uses only that half's data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable
 
@@ -48,6 +49,8 @@ FIRST_STAGE_FIELDS = {
 }
 FIRST_STAGE_IDS = tuple(FIRST_STAGE_FIELDS)
 _OPTIONAL_FIELDS = {name for names in FIRST_STAGE_FIELDS.values() for name in names}
+# the regressors whose cross-validation reads a fold seed
+_KERNEL_IDS = ("weighted-krr", "unweighted-krr")
 # the first stage each named estimator fits; None for IPW and the oracle
 NAMED_ESTIMATORS = {
     "ipw": None,
@@ -85,9 +88,9 @@ class EstimateReport:
     plugin_variance: float
 
     def __post_init__(self):
-        if not np.isfinite(self.tau_hat):
+        if not math.isfinite(self.tau_hat):
             raise ValueError(f"{self.estimator_id} tau_hat is not finite: {self.tau_hat}")
-        if not (np.isfinite(self.plugin_variance) and self.plugin_variance >= 0):
+        if not (math.isfinite(self.plugin_variance) and self.plugin_variance >= 0):
             raise ValueError(
                 f"{self.estimator_id} plugin_variance must be finite and non-negative, "
                 f"got {self.plugin_variance}"
@@ -265,7 +268,7 @@ def _fit_first_stage(
     if spec.regressor_id == "frozen":
         return FittedOutcomeModel(regressor_id="frozen", predict_xa=spec.frozen_fn)
 
-    kernel = spec.regressor_id in ("weighted-krr", "unweighted-krr")
+    kernel = spec.regressor_id in _KERNEL_IDS
     feature_map = regression.resolve_feature_map("state" if kernel else spec.feature_map)
     lam = None
     if kernel:
@@ -327,9 +330,11 @@ def two_stage_estimate(
     x, a, y = data.x, data.a, data.y
     fits = []
     for j, idx in enumerate(halves, start=1):
+        # only kernel cross-validation reads the fold seed
+        fold_seed = mix_seed(seed, "first-stage", j) if spec.regressor_id in _KERNEL_IDS else seed
         try:
             fits.append(_fit_first_stage(
-                spec, x[idx], a[idx], y[idx], ratio[idx] ** 2, seed=mix_seed(seed, "first-stage", j)
+                spec, x[idx], a[idx], y[idx], ratio[idx] ** 2, seed=fold_seed
             ))
         except Exception as exc:
             raise FirstStageError(f"first-stage fit failed on half {j}: {exc}", fold=j) from exc
@@ -340,7 +345,7 @@ def two_stage_estimate(
     infl = np.empty(n)
     for idx, mu, rows in ((halves[0], mu2, rows2), (halves[1], mu1, rows1)):
         infl[idx] = _influence(instance, ratio[idx], y[idx], g_rows[idx], mu[idx], rows[idx])
-    fit_distance = float(np.sqrt(np.mean(ratio**2 * (mu1 - mu2) ** 2)))
+    fit_distance = float(np.sqrt(np.add.reduce(ratio**2 * (mu1 - mu2) ** 2) / n))
 
     return _report(
         f"two-stage-{spec.regressor_id}", data, infl, cls=TwoStageReport,

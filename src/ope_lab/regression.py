@@ -327,6 +327,9 @@ def fit_l1_constrained(
     phi = np.asarray(features, dtype=float)
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
+    if phi.ndim != 2:
+        raise ValueError("features must be a 2-d array")
+    _require_finite(features=phi, y=y, w=w)
     _require_non_negative(radius=radius)
     d = phi.shape[1]
     if radius == 0.0:

@@ -9,6 +9,7 @@ replications are scheduled across threads.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -38,10 +39,20 @@ def mix_seed(*parts: int | str) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
+@functools.cache
+def _philox_key_type() -> type:
+    """``_philox.PhiloxKey``: numpy.random, which it imports, takes 10-17 ms
+    (2-core machine) that a process that draws nothing need not pay."""
+    from ._philox import PhiloxKey
+
+    return PhiloxKey
+
+
 def make_generator(seed: int) -> np.random.Generator:
-    """Return a Philox generator keyed by ``seed``."""
+    """Return a Philox generator keyed by ``seed``: the stream of
+    ``Philox(key=[seed mod 2**64, _KEY_PAD])``."""
     key = np.array([int(seed) & _MASK64, _KEY_PAD], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(_philox_key_type()(key)))
 
 
 def substream(master_seed: int, *indices: int | str) -> np.random.Generator:

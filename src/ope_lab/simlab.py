@@ -448,14 +448,14 @@ def write_results_csv(table: ResultsTable, path) -> None:
         with open(path, "w", newline="\n") as fh:
             fh.write(table.to_csv())
     except OSError as exc:
-        raise OSError(f"cannot write results to {path!r}: {exc}") from exc
+        raise OSError(f"cannot write results to {path}: {exc}") from exc
 
 
 def read_results_csv(path) -> ResultsTable:
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines or lines[0] != RESULTS_HEADER:
-        raise ValueError(f"{path!r} does not carry the results header")
+        raise ValueError(f"{path} does not carry the results header")
     table = ResultsTable()
     for ln in lines[1:]:
         parts = ln.split(",")

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import ope_lab as ol
 from ope_lab import core, estimators, simlab
+from ope_lab import rng as rng_module
+from ope_lab._philox import PhiloxKey
 from ope_lab.core import (
     dataset_to_csv,
     finite_instance_from_json,
@@ -289,6 +291,61 @@ def test_pair_draw_is_rng_choice_then_a_cumulative_sum():
     ai_want = np.minimum((np.cumsum(joint, axis=1) < rng.random(4000)[:, None]).sum(axis=1), 3)
     assert np.array_equal(si, si_want) and np.array_equal(ai, ai_want)
     assert set(ai.tolist()) == {0, 1, 2, 3}
+
+
+class _Counted:
+    """A function that counts its calls."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.fn(*args)
+
+
+@pytest.mark.parametrize("n_actions", [1, 9])
+def test_pair_draw_reads_tables_built_at_construction(n_actions):
+    # unequal base weights; after construction a draw evaluates no field
+    base = instance_from_random_tables(random_finite_tables(np.random.default_rng(7), 6, n_actions))
+    fields = ("propensity", "weight_fn", "outcome_mean", "outcome_sd")
+    inst = dataclasses.replace(base, **{name: _Counted(getattr(base, name)) for name in fields})
+    for name in fields:
+        getattr(inst, name).calls = 0
+    drawn = make_generator(11)
+    _, _, ai, si, _ = core._draw_pairs(inst, 4000, drawn)
+    ol.sample_dataset(inst, 50, seed=3)
+    assert [getattr(inst, name).calls for name in fields] == [0, 0, 0, 0]
+    rng = make_generator(11)
+    si_want = rng.choice(6, size=4000, p=inst.states.probs)
+    joint = inst.propensity.fn.table[si_want] * inst.actions.base_weights
+    cum = np.cumsum(joint, axis=1)
+    ai_want = np.minimum((cum < rng.random(4000)[:, None]).sum(axis=1), n_actions - 1)
+    assert np.array_equal(si, si_want) and np.array_equal(ai, ai_want)
+    assert set(ai.tolist()) == set(range(n_actions))
+    # the draw advanced the generator as far as the reference
+    assert np.array_equal(drawn.random(8), rng.random(8))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1, -1, mix_seed(5, "cell", 2)])
+def test_make_generator_is_philox_keyed_by_the_seed_and_the_pad(seed):
+    got = make_generator(seed)
+    key = np.array([seed & (2**64 - 1), rng_module._KEY_PAD], dtype=np.uint64)
+    want = np.random.Generator(np.random.Philox(key=key))
+    assert np.array_equal(got.random(64), want.random(64))
+    assert np.array_equal(got.standard_normal(64), want.standard_normal(64))
+
+
+def test_the_philox_key_hands_out_two_uint64_words_only():
+    words = np.array([3, rng_module._KEY_PAD], dtype=np.uint64)
+    key = PhiloxKey(words)
+    assert key.generate_state(2, np.uint64) is words
+    for n_words, dtype in ((4, np.uint32), (2, np.uint32), (1, np.uint64), (4, np.uint64)):
+        with pytest.raises(ValueError, match="a Philox key is 2 uint64 words"):
+            key.generate_state(n_words, dtype)
+    # as with Philox(key=...), the generator has no seed sequence to spawn from
+    with pytest.raises(TypeError, match="does not implement spawning"):
+        make_generator(3).spawn(1)
 
 
 def _three_action_instance():

@@ -1,4 +1,5 @@
-"""Import cost: ``scipy.linalg`` is loaded on first use, not at import.
+"""Import cost: ``scipy.linalg`` and ``numpy.random`` are loaded on first use,
+not at import.
 
 Each check runs in a fresh interpreter, since the test process has loaded
 scipy long before.
@@ -50,6 +51,18 @@ def test_importing_the_package_leaves_scipy_linalg_unloaded():
         "print(json.dumps({'linalg': 'scipy.linalg' in sys.modules}))\n"
     )
     assert out == {"linalg": False}
+
+
+def test_importing_the_package_leaves_numpy_random_unloaded():
+    # make_generator imports it on the first draw
+    out = _fresh(
+        "import json, sys\n"
+        "import ope_lab, ope_lab.cli, ope_lab.simlab, ope_lab.complexity, ope_lab.lowerbounds\n"
+        "before = 'numpy.random' in sys.modules\n"
+        "ope_lab.make_generator(1).random()\n"
+        "print(json.dumps({'before': before, 'after': 'numpy.random' in sys.modules}))\n"
+    )
+    assert out == {"before": False, "after": True}
 
 
 def test_a_first_stage_pool_loads_scipy_linalg_before_the_fork():

@@ -631,6 +631,22 @@ INPUT_CHECKS = {
     "linear-features-not-2d": (
         lambda: fit_weighted_linear(X3, X3, np.ones(3)), ValueError, r"^features must be a 2-d array$",
     ),
+    "l1-features-not-2d": (
+        lambda: fit_l1_constrained(X3, X3, np.ones(3), radius=1.0), ValueError,
+        r"^features must be a 2-d array$",
+    ),
+    "l1-nan-target": (
+        lambda: fit_l1_constrained(np.ones((4, 2)), np.array([1.0, np.nan, 2.0, 0.3]), np.ones(4), radius=1.0),
+        ValueError, r"^y\[1\] is not finite$",
+    ),
+    "l1-inf-feature": (
+        lambda: fit_l1_constrained(np.array([[1.0, 0.0], [0.0, np.inf]]), np.ones(2), np.ones(2), radius=1.0),
+        ValueError, r"^features\[1\] is not finite$",
+    ),
+    "l1-nan-weight": (
+        lambda: fit_l1_constrained(np.eye(2), np.ones(2), np.array([np.nan, 1.0]), radius=1.0),
+        ValueError, r"^w\[0\] is not finite$",
+    ),
     "isotonic-lengths": (
         lambda: fit_weighted_isotonic(X3, X3, np.ones(2)), ValueError,
         r"^t, y, w must be equal-length vectors$",

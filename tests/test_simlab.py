@@ -504,17 +504,19 @@ def test_result_row_rejects_non_finite_or_negative(field, bad):
 
 
 def test_read_results_csv_needs_its_header(tmp_path):
-    path = str(tmp_path / "no-header.csv")
-    with open(path, "w") as fh:
-        fh.write("inst,ipw,100,5,1.25,0.125,7\n")
-    with pytest.raises(ValueError, match=rf"^{re.escape(repr(path))} does not carry the results header$"):
-        read_results_csv(path)
+    path = tmp_path / "no-header.csv"
+    path.write_text("inst,ipw,100,5,1.25,0.125,7\n")
+    # the plain path, given as a string or as a pathlib.Path
+    for given in (str(path), path):
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))} does not carry the results header$"):
+            read_results_csv(given)
 
 
-def test_results_write_failure_carries_path():
-    with pytest.raises(OSError) as err:
-        write_results_csv(sample_table(), "/nonexistent-dir/file.csv")
-    assert "/nonexistent-dir/file.csv" in str(err.value)
+def test_results_write_failure_carries_path(tmp_path):
+    # the plain path, given as a string or as a pathlib.Path
+    for path in ("/nonexistent-dir/file.csv", tmp_path / "missing-dir" / "out.csv"):
+        with pytest.raises(OSError, match=rf"^cannot write results to {re.escape(str(path))}: "):
+            write_results_csv(sample_table(), path)
 
 
 # ---------------------------------------------------------------------------
