@@ -33,6 +33,7 @@ from .core import (
     ProblemInstance,
     _draw_pairs,
     _likelihood_ratio,
+    _mean_and_variance,
     _pair_values,
     weighted_norm,
 )
@@ -200,8 +201,8 @@ def rademacher_S_mc(
 
     # squared as Python floats: numpy's array power can round differently
     sups_sq = np.array([s**2 for s in _mc_sups(instance, spec, m, reps, seed, weights)])
-    mean_sq = float(np.mean(sups_sq))
-    se_sq = float(np.std(sups_sq, ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
+    mean_sq, var_sq = _mean_and_variance(sups_sq)
+    se_sq = float(np.sqrt(var_sq) / np.sqrt(reps))
     value = float(np.sqrt(max(mean_sq, 0.0)))
     stderr = se_sq / (2.0 * value) if value > 0 else float(np.sqrt(se_sq))
     return ComplexityEstimate(value, stderr)
@@ -217,9 +218,8 @@ def rademacher_R_mc(
     """Plain localized complexity with the g/pi weighting and no multiplier."""
     ratio = lambda pairs, rng: _likelihood_ratio(instance, pairs)
     sups = np.array(_mc_sups(instance, spec, m, reps, seed, ratio))
-    value = float(np.mean(sups))
-    stderr = float(np.std(sups, ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
-    return ComplexityEstimate(value, stderr)
+    value, var = _mean_and_variance(sups)
+    return ComplexityEstimate(value, float(np.sqrt(var) / np.sqrt(reps)))
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,14 @@ class PropensityError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _require_finite_entries(what: str, values: np.ndarray) -> None:
+    """Reject a NaN or inf entry, naming its position i as ``what.format(i)``."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"{what.format(i)} is {values[i]}")
+
+
 class _SortedKeys:
     """Distinct real values and their sort order, for index lookups."""
 
@@ -106,10 +114,12 @@ class ActionSpace:
         object.__setattr__(self, "base_weights", weights)
         if labels.size == 0:
             raise ValueError("action space must be non-empty")
+        _require_finite_entries("action label {}", labels)
         if len(np.unique(labels)) != labels.size:
             raise ValueError("action identifiers must be distinct")
         if weights.shape != labels.shape:
             raise ValueError("base_weights must match labels in length")
+        _require_finite_entries("base_weights[{}]", weights)
         if not (weights > 0).all():
             raise ValueError("all base weights must be positive")
         object.__setattr__(self, "_keys", _SortedKeys(labels))
@@ -138,6 +148,7 @@ class FiniteStates:
         object.__setattr__(self, "probs", probs)
         if values.size == 0:
             raise ValueError("finite state space must be non-empty")
+        _require_finite_entries("state value {}", values)
         if len(np.unique(values)) != values.size:
             raise ValueError("state values must be distinct")
         if probs.shape != values.shape:
@@ -237,14 +248,8 @@ class ProblemInstance:
                 f"propensity not strictly positive at state {probe[bad]}",
                 state=float(probe[bad]),
             )
-        norms = pmat @ self.actions.base_weights
-        worst = int(np.argmax(np.abs(norms - 1.0)))
-        if not abs(norms[worst] - 1.0) <= NORMALIZATION_TOL:
-            raise PropensityError(
-                f"propensity at state {probe[worst]} has lambda-mass "
-                f"{norms[worst]}, not 1 within {NORMALIZATION_TOL}",
-                state=float(probe[worst]),
-            )
+        # with pmat > 0 this checks each state's mass; a finite instance's draws read the sums
+        action_sums = _action_partial_sums(pmat, self.actions.base_weights, probe, "state")
         sd = self._pair_grid(self.outcome_sd, probe)
         if not (sd >= 0).all():
             raise ValueError("outcome_sd must be non-negative")
@@ -253,7 +258,7 @@ class ProblemInstance:
         # the checks above already reject a NaN or inf propensity
         for name, grid in (("weight_fn", weight), ("outcome_mean", mean), ("outcome_sd", sd)):
             _require_finite_cells(name, grid, probe, self.actions.labels)
-        grids, action_sums, ratio = (), None, None
+        grids, ratio = (), None
         if isinstance(self.states, FiniteStates):
             grids = (
                 (self.propensity, pmat),
@@ -261,9 +266,10 @@ class ProblemInstance:
                 (self.outcome_mean, mean),
                 (self.outcome_sd, sd),
             )
-            # what a draw and an estimator read per pair, formed once per cell
-            action_sums = _action_partial_sums(pmat, self.actions.base_weights, probe, "state")
+            # what an estimator reads per pair, formed once per cell
             ratio = weight / pmat
+        else:
+            action_sums = None
         object.__setattr__(self, "_grids", grids)
         object.__setattr__(self, "_action_sums", action_sums)
         object.__setattr__(self, "_ratio", ratio)
@@ -644,6 +650,18 @@ def _likelihood_ratio(instance: ProblemInstance, pairs: Pairs, g_vals=None) -> n
     return g_vals / pi_vals
 
 
+def _mean_and_variance(values: np.ndarray) -> tuple[float, float]:
+    """Mean and sample variance (0 for one value) of an influence vector or
+    a Monte Carlo replication vector, bit for bit those of ``np.mean`` and
+    ``np.var(ddof=1)`` without their Python-level wrappers."""
+    n = values.size
+    mean = np.add.reduce(values) / n
+    if n < 2:
+        return float(mean), 0.0
+    dev = values - mean
+    return float(mean), float(np.add.reduce(dev * dev) / (n - 1))
+
+
 # ---------------------------------------------------------------------------
 # Exact functionals
 # ---------------------------------------------------------------------------
@@ -790,23 +808,27 @@ def _write_dataset(data: Dataset, fh) -> None:
 
 
 def read_dataset_csv(path) -> Dataset:
+    """The dataset in a ``write_dataset_csv`` file.  A row that is not three
+    numbers, or a seed that is not an integer, raises ``ValueError`` naming
+    the path and the 1-based line."""
     with open(path, "r") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     seed, instance_id = 0, "unknown"
     rows = []
-    for ln in lines:
-        if not ln:
-            continue
-        if ln.startswith("#"):
-            for tok in ln[1:].split():
-                if tok.startswith("seed="):
-                    seed = int(tok[5:])
-                elif tok.startswith("instance_id="):
-                    instance_id = tok[len("instance_id="):]
-            continue
-        if ln.startswith("x,"):
-            continue
-        rows.append([float(v) for v in ln.split(",")])
+    for line_no, ln in enumerate(lines, start=1):
+        try:
+            if ln.startswith("#"):
+                for tok in ln[1:].split():
+                    if tok.startswith("seed="):
+                        seed = int(tok[5:])
+                    elif tok.startswith("instance_id="):
+                        instance_id = tok[len("instance_id="):]
+            elif ln and not ln.startswith("x,"):
+                rows.append([float(v) for v in ln.split(",")])
+                if len(rows[-1]) != 3:
+                    raise ValueError(f"{len(rows[-1])} fields, not the 3 of x,a,y")
+        except ValueError as exc:
+            raise ValueError(f"{path} line {line_no}: {exc}") from exc
     arr = np.asarray(rows, dtype=float)
     if arr.size == 0:
         raise ValueError(f"no data rows in {path}")

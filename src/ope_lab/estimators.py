@@ -32,7 +32,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from . import regression
+from . import core, regression
 from .core import Dataset, ProblemInstance, _likelihood_ratio, _located, _pair_rows, _values_and_rows
 from .rng import mix_seed
 
@@ -176,17 +176,6 @@ def _observed(instance: ProblemInstance, data: Dataset):
     return pairs, _likelihood_ratio(instance, pairs)
 
 
-def _mean_and_variance(values: np.ndarray) -> tuple[float, float]:
-    """Mean and sample variance (0 for one value), bit for bit those of
-    ``np.mean`` and ``np.var(ddof=1)`` without their Python-level wrappers."""
-    n = values.size
-    mean = np.add.reduce(values) / n
-    if n < 2:
-        return float(mean), 0.0
-    dev = values - mean
-    return float(mean), float(np.add.reduce(dev * dev) / (n - 1))
-
-
 def _influence(instance: ProblemInstance, ratio, y, g_rows, mu_obs, mu_rows) -> np.ndarray:
     """g/pi (y - mu) + <g, mu> at observed pairs, from ratio = g/pi there,
     the rows of g and mu at the pairs' states, and mu at the pairs."""
@@ -196,7 +185,7 @@ def _influence(instance: ProblemInstance, ratio, y, g_rows, mu_obs, mu_rows) -> 
 
 def _report(estimator_id: str, data: Dataset, terms, cls=EstimateReport, **extra):
     """Mean and sample variance of the influence terms, as a report."""
-    tau_hat, variance = _mean_and_variance(terms)
+    tau_hat, variance = core._mean_and_variance(terms)
     return cls(
         estimator_id=estimator_id,
         n=len(data),

@@ -292,23 +292,6 @@ def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
 
 
-def _power_iteration_lmax(gram: np.ndarray) -> float:
-    d = gram.shape[0]
-    v = np.ones(d) / np.sqrt(d)
-    lam = 0.0
-    for _ in range(200):
-        nv = gram @ v
-        norm = np.linalg.norm(nv)
-        if norm == 0.0:
-            return 0.0
-        v = nv / norm
-        new_lam = float(v @ gram @ v)
-        if abs(new_lam - lam) <= 1e-12 * max(1.0, abs(new_lam)):
-            return new_lam
-        lam = new_lam
-    return lam
-
-
 def fit_l1_constrained(
     features,
     y,
@@ -318,11 +301,11 @@ def fit_l1_constrained(
     """Projected gradient descent for the weighted square loss on the l1 ball.
 
     Step size 1/L with L the largest eigenvalue of the weighted Gram matrix
-    (power iteration).  Convergence requires both a relative objective
-    decrease below ``L1_REL_TOL`` and a projected-gradient mapping below
-    ``L1_KKT_TOL`` in every coordinate; hitting the iteration cap first sets a
-    warning flag instead of raising (the problem is convex; the cap is a
-    budget).
+    (LAPACK's, from ``scipy.linalg.eigvalsh``).  Convergence requires both a
+    relative objective decrease below ``L1_REL_TOL`` and a projected-gradient
+    mapping below ``L1_KKT_TOL`` in every coordinate; hitting the iteration
+    cap first sets a warning flag instead of raising (the problem is convex;
+    the cap is a budget).
     """
     phi = np.asarray(features, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -334,8 +317,11 @@ def fit_l1_constrained(
     d = phi.shape[1]
     if radius == 0.0:
         return LinearModel(theta=np.zeros(d))
+    import scipy.linalg
+
     gram = phi.T @ (w[:, None] * phi)
-    lmax = _power_iteration_lmax(gram)
+    # d = 0 selects no eigenvalue, and the fit is the empty vector
+    lmax = float(scipy.linalg.eigvalsh(gram, subset_by_index=[d - 1, d - 1]).max(initial=0.0))
     if lmax <= 0.0:
         return LinearModel(theta=np.zeros(d))
     step = 1.0 / lmax
@@ -375,7 +361,8 @@ def fit_l1_constrained(
 
 
 def fit_weighted_isotonic(t, y, w) -> IsotonicModel:
-    """Weighted pool-adjacent-violators along a scalar feature.
+    """Weighted pool-adjacent-violators along a scalar feature
+    (``scipy.optimize.isotonic_regression``).
 
     Exact ties in t are pre-pooled by weighted mean.  The fit is the
     right-continuous step function through the block solution.
@@ -385,27 +372,17 @@ def fit_weighted_isotonic(t, y, w) -> IsotonicModel:
     w = np.asarray(w, dtype=float)
     if not (t.shape == y.shape == w.shape) or t.ndim != 1:
         raise ValueError("t, y, w must be equal-length vectors")
+    if t.size == 0:
+        raise ValueError("isotonic regression needs at least one point")
     _require_finite(t=t, y=y, w=w)
     if np.any(w <= 0):
         raise ValueError("weights must be strictly positive")
-    order = np.argsort(t, kind="stable")
-    ts = t[order]
-    knots, inverse = np.unique(ts, return_inverse=True)
-    wsum = np.bincount(inverse, weights=w[order])
-    wysum = np.bincount(inverse, weights=(w * y)[order])
-    means = wysum / wsum
+    from scipy.optimize import isotonic_regression
 
-    # stack of blocks (level, weight, knot count), merged while out of order
-    blocks: list[list[float]] = []
-    for mean_i, w_i in zip(means, wsum):
-        blocks.append([float(mean_i), float(w_i), 1])
-        while len(blocks) > 1 and blocks[-2][0] > blocks[-1][0]:
-            lv, wv, cv = blocks.pop()
-            lp, wp, cp = blocks.pop()
-            merged_w = wp + wv
-            blocks.append([(lp * wp + lv * wv) / merged_w, merged_w, cp + cv])
-    out = np.concatenate([np.full(int(c), lv) for lv, _, c in blocks])
-    return IsotonicModel(knots=knots, levels=out)
+    knots, inverse = np.unique(t, return_inverse=True)
+    wsum = np.bincount(inverse, weights=w)
+    wysum = np.bincount(inverse, weights=w * y)
+    return IsotonicModel(knots=knots, levels=isotonic_regression(wysum / wsum, weights=wsum).x)
 
 
 # ---------------------------------------------------------------------------

@@ -418,20 +418,15 @@ def run_experiment(config: ExperimentConfig) -> ResultsTable:
                     estimator=estimator,
                     n=n,
                 ) from exc
-            mse = float(n * np.mean(sq))
-            stderr = (
-                float(n * np.std(sq, ddof=1) / np.sqrt(config.reps))
-                if config.reps > 1
-                else 0.0
-            )
+            mean, var = core._mean_and_variance(sq)
             table.rows.append(
                 ResultRow(
                     instance_id=instance.instance_id,
                     estimator=estimator,
                     n=n,
                     reps=config.reps,
-                    normalized_mse=mse,
-                    mc_stderr=stderr,
+                    normalized_mse=n * mean,
+                    mc_stderr=float(n * np.sqrt(var) / np.sqrt(config.reps)),
                     master_seed=config.master_seed,
                 )
             )
@@ -452,22 +447,30 @@ def write_results_csv(table: ResultsTable, path) -> None:
 
 
 def read_results_csv(path) -> ResultsTable:
+    """The table in a ``write_results_csv`` file.  A row that is not seven
+    fields, or a field that does not parse, raises ``ValueError`` naming the
+    path and the 1-based line."""
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or lines[0] != RESULTS_HEADER:
+        lines = [(i, ln.rstrip("\n")) for i, ln in enumerate(fh, start=1) if ln.strip()]
+    if not lines or lines[0][1] != RESULTS_HEADER:
         raise ValueError(f"{path} does not carry the results header")
     table = ResultsTable()
-    for ln in lines[1:]:
+    for line_no, ln in lines[1:]:
         parts = ln.split(",")
-        table.rows.append(
-            ResultRow(
-                instance_id=parts[0],
-                estimator=parts[1],
-                n=int(parts[2]),
-                reps=int(parts[3]),
-                normalized_mse=float(parts[4]),
-                mc_stderr=float(parts[5]),
-                master_seed=int(parts[6]),
+        try:
+            if len(parts) != 7:
+                raise ValueError(f"{len(parts)} fields, not the 7 of the results header")
+            table.rows.append(
+                ResultRow(
+                    instance_id=parts[0],
+                    estimator=parts[1],
+                    n=int(parts[2]),
+                    reps=int(parts[3]),
+                    normalized_mse=float(parts[4]),
+                    mc_stderr=float(parts[5]),
+                    master_seed=int(parts[6]),
+                )
             )
-        )
+        except ValueError as exc:
+            raise ValueError(f"{path} line {line_no}: {exc}") from exc
     return table

@@ -1,5 +1,7 @@
 import dataclasses
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -713,7 +715,48 @@ def test_read_dataset_csv_rejects_non_finite(tmp_path):
 
 
 UNIFORM_SAMPLER = lambda rng, n: rng.random(n)
+
+
+def _read_dataset_text(text: str):
+    """``read_dataset_csv`` on a file ``data.csv`` that holds ``text``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "data.csv")
+        path.write_text(text)
+        return read_dataset_csv(path)
+
+
+# what ``read_dataset_csv`` (and so ``ope-lab estimate``) says of a bad line
+CSV_LINE = r"^.+[/\\]data\.csv line "
 INPUT_CHECKS = {
+    "csv-short-row": (
+        lambda: _read_dataset_text("# seed=3\nx,a,y\n0,1,2.0\n1,0\n1,1,0.5\n"),
+        ValueError, CSV_LINE + r"4: 2 fields, not the 3 of x,a,y$",
+    ),
+    "csv-every-row-short": (
+        lambda: _read_dataset_text("x,a,y\n0,1\n1,0\n"),
+        ValueError, CSV_LINE + r"2: 2 fields, not the 3 of x,a,y$",
+    ),
+    "csv-bad-cell": (
+        lambda: _read_dataset_text("x,a,y\n0,1,2.0\n1,abc,0.5\n"),
+        ValueError, CSV_LINE + r"3: could not convert string to float: 'abc'$",
+    ),
+    "csv-bad-seed": (
+        lambda: _read_dataset_text("# seed=x instance_id=d1\nx,a,y\n0,1,2.0\n"),
+        ValueError, CSV_LINE + r"1: invalid literal for int\(\) with base 10: 'x'$",
+    ),
+    "action-label-nan": (
+        lambda: ol.ActionSpace([0.0, np.nan], [1.0, 1.0]), ValueError, r"^action label 1 is nan$",
+    ),
+    "action-weight-inf": (
+        lambda: ol.ActionSpace([0.0, 1.0], [1.0, np.inf]), ValueError, r"^base_weights\[1\] is inf$",
+    ),
+    "states-inf": (
+        lambda: ol.FiniteStates([-np.inf, 0.0], [0.5, 0.5]), ValueError, r"^state value 0 is -inf$",
+    ),
+    "tables-state-nan": (
+        lambda: ol.ProblemInstance.from_tables(**{**_d1_table_args(), "states": [0.0, np.nan]}),
+        ValueError, r"^state value 1 is nan$",
+    ),
     "action-weights-length": (
         lambda: ol.ActionSpace([0.0, 1.0], [1.0]),
         ValueError, r"^base_weights must match labels in length$",

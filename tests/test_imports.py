@@ -1,5 +1,5 @@
-"""Import cost: ``scipy.linalg`` and ``numpy.random`` are loaded on first use,
-not at import.
+"""Import cost: ``scipy.linalg``, ``scipy.optimize`` and ``numpy.random`` are
+loaded on first use, not at import.
 
 Each check runs in a fresh interpreter, since the test process has loaded
 scipy long before.
@@ -48,9 +48,10 @@ def test_importing_the_package_leaves_scipy_linalg_unloaded():
     out = _fresh(
         "import json, sys\n"
         "import ope_lab, ope_lab.cli, ope_lab.simlab, ope_lab.complexity, ope_lab.lowerbounds\n"
-        "print(json.dumps({'linalg': 'scipy.linalg' in sys.modules}))\n"
+        "print(json.dumps({'linalg': 'scipy.linalg' in sys.modules,\n"
+        "                  'optimize': 'scipy.optimize' in sys.modules}))\n"
     )
-    assert out == {"linalg": False}
+    assert out == {"linalg": False, "optimize": False}
 
 
 def test_importing_the_package_leaves_numpy_random_unloaded():

@@ -298,9 +298,19 @@ def test_l1_zero_radius():
 
 
 def test_l1_without_weight_is_zero():
-    # the weighted Gram matrix is 0: power iteration stops at a zero norm
+    # the weighted Gram matrix is 0, so its largest eigenvalue is 0 and no step is taken
     model = fit_l1_constrained(np.eye(3), np.ones(3), np.zeros(3), radius=1.0)
     assert np.array_equal(model.theta, np.zeros(3))
+
+
+def test_l1_step_uses_the_largest_eigenvalue_of_the_gram_matrix():
+    # the Gram matrix [[2, -1], [-1, 2]] has eigenvalues 1 and 3; its top
+    # eigenvector (1, -1) is orthogonal to (1, 1), so an eigenvalue search
+    # started from (1, 1) finds 1 and steps three times too far
+    phi = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
+    model = fit_l1_constrained(phi, np.array([3.0, -3.0, 6.0]), np.ones(3), radius=100.0)
+    assert model.converged
+    assert np.allclose(model.theta, [3.0, -3.0], rtol=0.0, atol=1e-9)
 
 
 def test_l1_kkt_residual_small():
@@ -650,6 +660,10 @@ INPUT_CHECKS = {
     "isotonic-lengths": (
         lambda: fit_weighted_isotonic(X3, X3, np.ones(2)), ValueError,
         r"^t, y, w must be equal-length vectors$",
+    ),
+    "isotonic-empty": (
+        lambda: fit_weighted_isotonic(np.array([]), np.array([]), np.array([])), ValueError,
+        r"^isotonic regression needs at least one point$",
     ),
     "isotonic-zero-weight": (
         lambda: fit_weighted_isotonic(X3, X3, np.array([1.0, 0.0, 1.0])), ValueError,

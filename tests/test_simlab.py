@@ -15,6 +15,7 @@ from ope_lab.estimators import ESTIMATOR_IDS, FirstStageError
 from ope_lab.lowerbounds import SupportError
 from ope_lab.quadrature import QuadratureError
 from ope_lab.simlab import (
+    RESULTS_HEADER,
     CellError,
     ExperimentConfig,
     ResultRow,
@@ -512,6 +513,21 @@ def test_read_results_csv_needs_its_header(tmp_path):
             read_results_csv(given)
 
 
+@pytest.mark.parametrize("row, message", [
+    ("inst,ipw,100,5,1.25,0.125", "6 fields, not the 7 of the results header"),
+    ("inst,ipw,100,5,1.25,0.125,7,8", "8 fields, not the 7 of the results header"),
+    ("inst,ipw,many,5,1.25,0.125,7", "invalid literal for int() with base 10: 'many'"),
+    ("inst,ipw,100,5,1.25,low,7", "could not convert string to float: 'low'"),
+    ("inst,ipw,100,5,-1,0.125,7", "normalized_mse must be finite and non-negative, got -1.0 (estimator=ipw, n=100)"),
+])
+def test_read_results_csv_names_the_line_of_a_bad_row(tmp_path, row, message):
+    path = tmp_path / "results.csv"
+    # the blank third line counts: the bad row is line 4
+    path.write_text(f"{RESULTS_HEADER}\ninst,ipw,100,5,1.25,0.125,7\n\n{row}\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(f'{path} line 4: {message}')}$"):
+        read_results_csv(path)
+
+
 def test_results_write_failure_carries_path(tmp_path):
     # the plain path, given as a string or as a pathlib.Path
     for path in ("/nonexistent-dir/file.csv", tmp_path / "missing-dir" / "out.csv"):
@@ -626,6 +642,20 @@ def test_cli_estimate_names_an_unknown_estimator_and_the_known_ones(tmp_path, ca
     assert json.loads(capsys.readouterr().err) == {
         "error": "ValueError",
         "message": f"unknown estimator 'two-stage-krr'; known: {ESTIMATOR_IDS}",
+    }
+
+
+def test_cli_estimate_names_the_file_and_line_of_a_bad_row(tmp_path, capsys):
+    _, data_path, inst_path = _estimate_files(tmp_path)
+    # a provenance line, the header and 50 rows come before the short row
+    data_path.write_text(data_path.read_text() + "0.5,1\n")
+    code = cli.main([
+        "estimate", "--data", str(data_path), "--instance", str(inst_path), "--estimator", "ipw",
+    ])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError",
+        "message": f"{data_path} line 53: 2 fields, not the 3 of x,a,y",
     }
 
 
