@@ -25,6 +25,11 @@ state index; any other function (an auxiliary, a first-stage fit) is
 evaluated once per call on the same grid and read by index.  Continuous
 instances are evaluated at the pairs' own states.
 
+One draw (``_draw``) serves one seed or many: it takes the generators of R
+replications and lays their datasets end to end, each generator advancing
+as it would alone, and runs every step after the draws once over the whole
+block.  ``sample_dataset`` is its one-generator case.
+
 A dataset from ``sample_dataset`` keeps the pairs it was drawn as, linked to
 the instance object that drew it: an estimator scoring it against that same
 object reuses them, and against any other instance locates the pairs again.
@@ -502,13 +507,7 @@ class Dataset:
             raise ValueError("x, a, y must be equal-length vectors")
         if x.size < 1:
             raise ValueError("dataset must contain at least one triple")
-        finite = np.isfinite(x) & np.isfinite(a) & np.isfinite(y)
-        if not finite.all():
-            row = int(np.argmin(finite))
-            raise ValueError(
-                f"dataset row {row} is not finite: "
-                f"(x, a, y) = ({x[row]}, {a[row]}, {y[row]})"
-            )
+        _require_finite_rows(x, a, y, x.size)
 
     def __len__(self) -> int:
         return int(self.x.size)
@@ -518,6 +517,17 @@ class Dataset:
         state = dict(self.__dict__)
         state.pop("_drawn", None)
         return state
+
+
+def _require_finite_rows(x: np.ndarray, a: np.ndarray, y: np.ndarray, n: int) -> None:
+    """Reject the first (x, a, y) row with a NaN or inf entry, numbered
+    within its dataset when datasets of n rows lie end to end."""
+    finite = np.isfinite(x) & np.isfinite(a) & np.isfinite(y)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(
+            f"dataset row {i % n} is not finite: (x, a, y) = ({x[i]}, {a[i]}, {y[i]})"
+        )
 
 
 def _located(instance: ProblemInstance, data: Dataset) -> Pairs:
@@ -534,10 +544,14 @@ def _located(instance: ProblemInstance, data: Dataset) -> Pairs:
 # ---------------------------------------------------------------------------
 
 
-def _action_partial_sums(pmat: np.ndarray, weights: np.ndarray, x: np.ndarray, where: str) -> list:
+def _action_partial_sums(
+    pmat: np.ndarray, weights: np.ndarray, x: np.ndarray, where: str, n: int | None = None
+) -> list:
     """The partial sums but the last of lambda(a) pi(x_i, a) over the actions
     in order, from the propensity rows at states x.  A negative term, or a
-    full sum off 1 by more than NORMALIZATION_TOL, raises naming its state."""
+    full sum off 1 by more than NORMALIZATION_TOL, raises naming its state:
+    the first negative one, or the worst sum of the first failing group of n
+    states (all of them by default)."""
     joint = [pmat[:, k] * weights[k] for k in range(weights.size)]
     if not all(col.min() >= 0 for col in joint):
         bad = int(np.argmin(np.logical_and.reduce([col >= 0 for col in joint])))
@@ -551,53 +565,77 @@ def _action_partial_sums(pmat: np.ndarray, weights: np.ndarray, x: np.ndarray, w
     deviation = np.abs(acc - 1.0)
     worst = int(np.argmax(deviation))
     if not deviation[worst] <= NORMALIZATION_TOL:
+        n = x.size if n is None else n
+        lo = int(np.argmax(~(deviation <= NORMALIZATION_TOL))) // n * n
+        worst = lo + int(np.argmax(deviation[lo:lo + n]))
         raise PropensityError(
             f"propensity at {where} {x[worst]} has mass {acc[worst]}", state=float(x[worst])
         )
     return partial
 
 
-def _draw_pairs(instance: ProblemInstance, n: int, rng: np.random.Generator) -> Pairs:
-    """Draw n states from the state law, then an action from pi(X, .) each,
-    as located pairs.
+def _each(rngs: tuple, n: int, method: str) -> np.ndarray:
+    """``rng.<method>(n)`` of every generator in turn, laid end to end."""
+    if len(rngs) == 1:
+        return getattr(rngs[0], method)(n)
+    out = np.empty(len(rngs) * n)
+    for r, rng in enumerate(rngs):
+        getattr(rng, method)(out=out[r * n:(r + 1) * n])
+    return out
 
-    The generator is advanced by one ``rng.random(n)`` searched in the state
+
+def _draw_pairs(instance: ProblemInstance, n: int, *rngs: np.random.Generator) -> Pairs:
+    """Draw n states from the state law, then an action from pi(X, .) each,
+    with every generator, as located pairs laid end to end: generator r
+    fills rows r*n to (r+1)*n.
+
+    Each generator is advanced by one ``rng.random(n)`` searched in the state
     cdf (the steps of ``rng.choice(size, p=probs)``, finite states) or by the
     state sampler, then by one ``rng.random(n)``, u.  The action is the
     number of partial sums of lambda(a) pi(x, a) below u (the steps of
     ``np.cumsum`` without the full sum): a finite instance reads them from
     its table, a continuous one forms and checks them at the drawn states.
+    The steps after the draws run once over all rows.
     """
     if isinstance(instance.states, FiniteStates):
-        si = instance.states._cdf.searchsorted(rng.random(n), side="right")
+        si = instance.states._cdf.searchsorted(_each(rngs, n, "random"), side="right")
         x = instance.states.values.take(si)
         pmat = instance._grid(instance.propensity)[si]
         partial = [sums.take(si) for sums in instance._action_sums]
     else:
         si = None
-        x = np.asarray(instance.states.sampler(rng, n), dtype=float)
+        sampler = instance.states.sampler
+        x = np.concatenate([np.asarray(sampler(rng, n), dtype=float) for rng in rngs])
         pmat = np.asarray(instance.propensity(x), dtype=float)
-        partial = _action_partial_sums(pmat, instance.actions.base_weights, x, "sampled state")
-    u = rng.random(n)
-    ai = np.zeros(n, dtype=np.intp)
+        partial = _action_partial_sums(pmat, instance.actions.base_weights, x, "sampled state", n)
+    u = _each(rngs, n, "random")
+    ai = np.zeros(u.size, dtype=np.intp)
     for sums in partial:
         ai += sums < u
     return Pairs(x, instance.actions.labels.take(ai), ai, si, pmat)
+
+
+def _draw(instance: ProblemInstance, n: int, *rngs: np.random.Generator) -> tuple[Pairs, np.ndarray]:
+    """n triples per generator, laid end to end as in ``_draw_pairs``: the
+    located pairs and Y = mu(X, A) + sd(X, A) * Z, where each generator
+    then draws its n standard normals Z.  Rows are not checked for
+    finiteness (``_require_finite_rows``)."""
+    pairs = _draw_pairs(instance, n, *rngs)
+    z = _each(rngs, n, "standard_normal")
+    mu = _pair_values(instance, instance.outcome_mean, pairs)
+    sd = _pair_values(instance, instance.outcome_sd, pairs)
+    return pairs, mu + sd * z
 
 
 def sample_dataset(instance: ProblemInstance, n: int, seed: int) -> Dataset:
     """Draw n i.i.d. triples: X from the state law, A from pi(X, .), then
     Y = mu(X, A) + sd(X, A) * Z with standard normal Z.
 
-    Deterministic given (instance, n, seed).
+    Deterministic given (instance, n, seed): the one-generator ``_draw``.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    rng = make_generator(seed)
-    pairs = _draw_pairs(instance, n, rng)
-    mu = _pair_values(instance, instance.outcome_mean, pairs)
-    sd = _pair_values(instance, instance.outcome_sd, pairs)
-    y = mu + sd * rng.standard_normal(n)
+    pairs, y = _draw(instance, n, make_generator(seed))
     data = Dataset(x=pairs.x, a=pairs.a, y=y, seed=int(seed), instance_id=instance.instance_id)
     object.__setattr__(data, "_drawn", (instance, pairs))
     return data
@@ -650,10 +688,19 @@ def _likelihood_ratio(instance: ProblemInstance, pairs: Pairs, g_vals=None) -> n
     return g_vals / pi_vals
 
 
-def _mean_and_variance(values: np.ndarray) -> tuple[float, float]:
+def _mean_and_variance(values: np.ndarray):
     """Mean and sample variance (0 for one value) of an influence vector or
     a Monte Carlo replication vector, bit for bit those of ``np.mean`` and
-    ``np.var(ddof=1)`` without their Python-level wrappers."""
+    ``np.var(ddof=1)`` without their Python-level wrappers, as floats.  Of a
+    2-D array, each row's, as arrays: numpy sums each contiguous row
+    pairwise, as it sums one vector, so a row's bits are the vector's."""
+    if values.ndim == 2:
+        n = values.shape[1]
+        mean = np.add.reduce(values, axis=1) / n
+        if n < 2:
+            return mean, np.zeros_like(mean)
+        dev = values - mean[:, None]
+        return mean, np.add.reduce(dev * dev, axis=1) / (n - 1)
     n = values.size
     mean = np.add.reduce(values) / n
     if n < 2:
@@ -809,12 +856,12 @@ def _write_dataset(data: Dataset, fh) -> None:
 
 def read_dataset_csv(path) -> Dataset:
     """The dataset in a ``write_dataset_csv`` file.  A row that is not three
-    numbers, or a seed that is not an integer, raises ``ValueError`` naming
-    the path and the 1-based line."""
+    finite numbers, or a seed that is not an integer, raises ``ValueError``
+    naming the path and the 1-based line."""
     with open(path, "r") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     seed, instance_id = 0, "unknown"
-    rows = []
+    rows, row_lines = [], []
     for line_no, ln in enumerate(lines, start=1):
         try:
             if ln.startswith("#"):
@@ -825,6 +872,7 @@ def read_dataset_csv(path) -> Dataset:
                         instance_id = tok[len("instance_id="):]
             elif ln and not ln.startswith("x,"):
                 rows.append([float(v) for v in ln.split(",")])
+                row_lines.append(line_no)
                 if len(rows[-1]) != 3:
                     raise ValueError(f"{len(rows[-1])} fields, not the 3 of x,a,y")
         except ValueError as exc:
@@ -832,9 +880,13 @@ def read_dataset_csv(path) -> Dataset:
     arr = np.asarray(rows, dtype=float)
     if arr.size == 0:
         raise ValueError(f"no data rows in {path}")
-    return Dataset(
-        x=arr[:, 0], a=arr[:, 1], y=arr[:, 2], seed=seed, instance_id=instance_id
-    )
+    try:
+        return Dataset(
+            x=arr[:, 0], a=arr[:, 1], y=arr[:, 2], seed=seed, instance_id=instance_id
+        )
+    except ValueError as exc:  # a NaN or inf cell: the rows are three numbers each
+        bad = int(np.argmin(np.isfinite(arr).all(axis=1)))
+        raise ValueError(f"{path} line {row_lines[bad]}: {exc}") from exc
 
 
 def save_instance(instance: ProblemInstance, path) -> None:

@@ -72,6 +72,18 @@ class FirstStageError(RuntimeError):
         return type(self), (self.args[0], self.fold)
 
 
+def _require_estimate(estimator_id: str, tau_hat: float, plugin_variance: float) -> None:
+    """Reject a non-finite estimate or a plug-in variance that is not
+    finite and non-negative, naming the estimator."""
+    if not math.isfinite(tau_hat):
+        raise ValueError(f"{estimator_id} tau_hat is not finite: {tau_hat}")
+    if not (math.isfinite(plugin_variance) and plugin_variance >= 0):
+        raise ValueError(
+            f"{estimator_id} plugin_variance must be finite and non-negative, "
+            f"got {plugin_variance}"
+        )
+
+
 @dataclass(frozen=True)
 class EstimateReport:
     """Point estimate with its data-driven variance proxy.
@@ -88,13 +100,7 @@ class EstimateReport:
     plugin_variance: float
 
     def __post_init__(self):
-        if not math.isfinite(self.tau_hat):
-            raise ValueError(f"{self.estimator_id} tau_hat is not finite: {self.tau_hat}")
-        if not (math.isfinite(self.plugin_variance) and self.plugin_variance >= 0):
-            raise ValueError(
-                f"{self.estimator_id} plugin_variance must be finite and non-negative, "
-                f"got {self.plugin_variance}"
-            )
+        _require_estimate(self.estimator_id, self.tau_hat, self.plugin_variance)
 
     def csv_row(self) -> str:
         return (
@@ -176,19 +182,37 @@ def _observed(instance: ProblemInstance, data: Dataset):
     return pairs, _likelihood_ratio(instance, pairs)
 
 
-def _influence(instance: ProblemInstance, ratio, y, g_rows, mu_obs, mu_rows) -> np.ndarray:
+def _influence(instance: ProblemInstance, ratio, y, g_rows, mu_obs, mu_rows, n=None) -> np.ndarray:
     """g/pi (y - mu) + <g, mu> at observed pairs, from ratio = g/pi there,
-    the rows of g and mu at the pairs' states, and mu at the pairs."""
-    inner = (g_rows * mu_rows) @ instance.actions.base_weights
+    the rows of g and mu at the pairs' states, and mu at the pairs; the
+    pairs are datasets of n rows laid end to end (one dataset by default).
+    The inner product runs as one matrix-vector product per dataset: BLAS
+    may round a row of one long product differently from the same row of a
+    short one."""
+    prod = g_rows * mu_rows
+    if n is None or n == y.size:
+        inner = prod @ instance.actions.base_weights
+    else:
+        inner = (prod.reshape(-1, n, prod.shape[1]) @ instance.actions.base_weights).reshape(-1)
     return ratio * (y - mu_obs) + inner
+
+
+def _moments(terms: np.ndarray, n: int):
+    """The estimate and plug-in variance of one dataset's n influence terms,
+    as floats, or of each row of n terms of a 2-D array, as arrays.  One
+    observation has no sample variance, so n < 2 raises."""
+    if n < 2:
+        raise ValueError(f"an estimate needs at least 2 observations, got n = {n}")
+    return core._mean_and_variance(terms)
 
 
 def _report(estimator_id: str, data: Dataset, terms, cls=EstimateReport, **extra):
     """Mean and sample variance of the influence terms, as a report."""
-    tau_hat, variance = core._mean_and_variance(terms)
+    n = len(data)
+    tau_hat, variance = _moments(terms, n)
     return cls(
         estimator_id=estimator_id,
-        n=len(data),
+        n=n,
         seed=data.seed,
         tau_hat=tau_hat,
         plugin_variance=variance,
@@ -201,11 +225,28 @@ def _report(estimator_id: str, data: Dataset, terms, cls=EstimateReport, **extra
 # ---------------------------------------------------------------------------
 
 
+def _ipw_terms(instance: ProblemInstance, pairs, y, n) -> np.ndarray:
+    """IPW's influence terms g/pi * y, the influence vector at mu = 0."""
+    return _likelihood_ratio(instance, pairs) * y
+
+
+def _oracle_terms(instance: ProblemInstance, pairs, y, n) -> np.ndarray:
+    """The oracle's influence terms, at the true outcome mean."""
+    g_obs, g_rows = _values_and_rows(instance, instance.weight_fn, pairs)
+    ratio = _likelihood_ratio(instance, pairs, g_obs)
+    mu_obs, mu_rows = _values_and_rows(instance, instance.outcome_mean, pairs)
+    return _influence(instance, ratio, y, g_rows, mu_obs, mu_rows, n)
+
+
+# the influence terms of each estimator that fits no first stage, from located
+# pairs and y of datasets of n rows laid end to end: (instance, pairs, y, n)
+INFLUENCE_TERMS = {"ipw": _ipw_terms, "oracle": _oracle_terms}
+
+
 def ipw_estimate(data: Dataset, instance: ProblemInstance) -> EstimateReport:
     """Importance-reweighted plug-in estimate: mean of g/pi * y, the influence
     vector at mu = 0."""
-    _, ratio = _observed(instance, data)
-    return _report("ipw", data, ratio * data.y)
+    return _report("ipw", data, _ipw_terms(instance, _located(instance, data), data.y, len(data)))
 
 
 def generic_estimate(
@@ -227,11 +268,22 @@ def oracle_estimate(data: Dataset, instance: ProblemInstance) -> EstimateReport:
 
     Not computable from data alone; serves as the efficiency baseline.
     """
-    pairs = _located(instance, data)
-    g_obs, g_rows = _values_and_rows(instance, instance.weight_fn, pairs)
-    ratio = _likelihood_ratio(instance, pairs, g_obs)
-    mu_obs, mu_rows = _values_and_rows(instance, instance.outcome_mean, pairs)
-    return _report("oracle", data, _influence(instance, ratio, data.y, g_rows, mu_obs, mu_rows))
+    terms = _oracle_terms(instance, _located(instance, data), data.y, len(data))
+    return _report("oracle", data, terms)
+
+
+def block_estimates(estimator_id: str, instance: ProblemInstance, pairs, y, n: int) -> np.ndarray:
+    """The estimates of an estimator in ``INFLUENCE_TERMS`` on datasets of n
+    rows laid end to end (located pairs and y), bit for bit those of its
+    per-dataset estimator.  The first dataset whose estimate fails a report's
+    checks raises as its report would."""
+    terms = INFLUENCE_TERMS[estimator_id](instance, pairs, y, n)
+    tau_hat, variance = _moments(terms.reshape(-1, n), n)
+    ok = np.isfinite(tau_hat) & np.isfinite(variance) & (variance >= 0)
+    if not ok.all():
+        r = int(np.argmin(ok))
+        _require_estimate(estimator_id, float(tau_hat[r]), float(variance[r]))
+    return tau_hat
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,17 @@ propensity shapes are provided: "pi1" dips to pi_min at x = 1/2 where the
 tent peaks (hard), "pi2" dips at x = 1 where the tent vanishes (easy).
 
 ``run_experiment`` runs a (estimator x sample size) grid of seeded Monte
-Carlo cells and reports the n-rescaled mean squared error per cell.  With
-``threads > 1`` the replications run in that many forked worker processes,
-which inherit the caller's instance at fork.  The contiguous chunks of
-every cell's seeds form one task list in config order, and results are
-read back in that order.  Results are
-byte-deterministic for a fixed master seed regardless of the worker count:
+Carlo cells and reports the n-rescaled mean squared error per cell.  IPW
+and the oracle fit no first stage: each is the mean of one influence vector,
+so a run draws and scores their replications in blocks, R datasets laid end
+to end as one array program (``BLOCK_DRAWS``).  ``threads`` is a budget:
+when some estimator fits a first stage, or the cells draw at least
+``POOL_MIN_DRAWS`` samples in all, the replications run in that many forked
+worker processes, which inherit the caller's instance at fork; otherwise
+they run in the caller, where a pool would cost more than the work.  The
+contiguous chunks of every cell's seeds form one task list in config order,
+and results are read back in that order.  Results are byte-deterministic
+for a fixed master seed regardless of the worker count and the blocks:
 replication r of a cell always uses the substream addressed by
 (master_seed, estimator, n, r), and cells reduce over replications in index
 order.
@@ -41,6 +46,16 @@ SIGMA0_DEFAULT = 1.0
 RESULTS_HEADER = "instance_id,estimator,n,reps,normalized_mse,mc_stderr,master_seed"
 # each cell's replications go to the workers in this many chunks per worker
 CHUNKS_PER_WORKER = 4
+# IPW and the oracle draw and score a chunk's replications in blocks of at
+# most this many samples (at least one replication): at n = 8000, blocks of
+# 25 replications slowed the hard study's baseline from 396 to 569 ms at
+# threads 1, and blocks of 2048 or 8192 samples were neutral (2-core machine)
+BLOCK_DRAWS = 8192
+# with threads > 1, cells without a first stage fork workers only from this
+# many samples drawn in all: the 64,000 of the small finite benchmark's
+# simulate took 47-74 ms in blocks in a pool of two, and 25-43 ms in the
+# caller (2-core machine)
+POOL_MIN_DRAWS = 1 << 18
 # mallopt parameters from glibc's malloc.h
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
 
@@ -88,6 +103,9 @@ def build_builtin_instance(
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
+    # the curve's floor: 0 would make the propensity vanish, above 0.5 it is the maximum
+    if not 0.0 < pi_min <= 0.5:
+        raise ValueError(f"pi_min must lie in (0, 0.5], got {pi_min}")
     curve = _propensity_curve(propensity, pi_min)
 
     def prop_matrix(x):
@@ -168,7 +186,10 @@ def _whole_number(name: str, value) -> int:
 class ExperimentConfig:
     """Grid of (estimator, sample size) Monte Carlo cells on one instance.
 
-    ``threads`` is the number of worker processes; 1 runs in the caller.
+    ``threads`` is a budget of worker processes; 1 runs in the caller, and
+    so does a config whose estimators fit no first stage and whose cells
+    draw fewer than ``POOL_MIN_DRAWS`` samples in all (reps x estimators x
+    the sum of n_grid).
     """
 
     instance: dict
@@ -294,9 +315,25 @@ def _run_rep(
 
 def _run_reps(instance, task) -> list:
     """Squared errors of one task's replications, in seed order; a task is
-    (estimator, n, seeds, tau_star, first_stage) as ``_run_rep`` reads them."""
+    (estimator, n, seeds, tau_star, first_stage) as ``_run_rep`` reads them.
+
+    An estimator without a first stage draws and scores the replications in
+    blocks of ``BLOCK_DRAWS`` samples, bit for bit as ``_run_rep`` would; each
+    block makes its replications' checks, and raises the first that fails.
+    """
     estimator, n, seeds, tau_star, first_stage = task
-    return [_run_rep(estimator, instance, n, seed, tau_star, first_stage) for seed in seeds]
+    if first_stage is not None:
+        return [_run_rep(estimator, instance, n, seed, tau_star, first_stage) for seed in seeds]
+    per_block = max(1, BLOCK_DRAWS // n)
+    sq = []
+    for lo in range(0, len(seeds), per_block):
+        rngs = [core.make_generator(seed) for seed in seeds[lo:lo + per_block]]
+        pairs, y = core._draw(instance, n, *rngs)
+        core._require_finite_rows(pairs.x, pairs.a, y, n)
+        tau_hat = estimators.block_estimates(estimator, instance, pairs, y, n)
+        # squared as Python floats, as ``_run_rep`` squares them
+        sq.extend(d**2 for d in (tau_hat - tau_star).tolist())
+    return sq
 
 
 # the instance of a worker process, set by ``_start_worker`` in workers only
@@ -365,6 +402,15 @@ def _chunks(seeds: list, parts: int) -> list:
     return [seeds[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
+def _workers(config: ExperimentConfig) -> int:
+    """The worker processes the config pays for: its ``threads`` when some
+    estimator fits a first stage or the cells draw at least
+    ``POOL_MIN_DRAWS`` samples in all, else 1, the caller."""
+    first_stage = any(estimators.NAMED_ESTIMATORS[e] for e in config.estimators)
+    draws = config.reps * len(config.estimators) * sum(config.n_grid)
+    return config.threads if first_stage or draws >= POOL_MIN_DRAWS else 1
+
+
 def run_experiment(config: ExperimentConfig) -> ResultsTable:
     """Run every (estimator, n) cell of the config.
 
@@ -376,13 +422,14 @@ def run_experiment(config: ExperimentConfig) -> ResultsTable:
     """
     instance = instance_from_json(config.instance)
     tau_star = core.true_functional(instance)
+    workers = _workers(config)
     cells = [
         (
             estimator,
             n,
             _chunks(
                 [mix_seed(config.master_seed, estimator, n, rep) for rep in range(config.reps)],
-                CHUNKS_PER_WORKER * config.threads,
+                CHUNKS_PER_WORKER * workers if workers > 1 else 1,
             ),
             (config.lambda_grid, config.folds) if estimators.NAMED_ESTIMATORS[estimator] else None,
         )
@@ -395,12 +442,12 @@ def run_experiment(config: ExperimentConfig) -> ResultsTable:
         for chunk in chunks
     ]
     # loaded once here for the first stage's solve: forked workers inherit it
-    if config.threads > 1 and any(estimators.NAMED_ESTIMATORS[e] for e in config.estimators):
+    if workers > 1 and any(estimators.NAMED_ESTIMATORS[e] for e in config.estimators):
         import scipy.linalg  # noqa: F401
     table = ResultsTable()
     # one pool serves every cell; a single worker runs in the caller
     with (
-        _process_pool(instance, config.threads) if config.threads > 1 else contextlib.nullcontext()
+        _process_pool(instance, workers) if workers > 1 else contextlib.nullcontext()
     ) as pool:
         # the chunks' results in task order; ``pool.map`` queues every chunk
         # at once and cancels those still queued when one raises

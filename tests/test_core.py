@@ -217,6 +217,40 @@ def test_sampling_names_the_offending_sampled_state(fault):
     assert f"at sampled state {want}" in str(err.value) and message in str(err.value)
 
 
+def _faulty_above_half(fault: str):
+    """The hard builtin instance with the propensity of
+    ``test_sampling_names_the_offending_sampled_state``: it passes the probe
+    grid and, off it above 1/2, is negative or has mass 1 + x."""
+    base = simlab.build_builtin_instance("pi1")
+    grid = base.probe_states()
+
+    def propensity(x):
+        p = base.propensity(x)
+        off = ~np.isin(x, grid) & (x > 0.5)
+        if fault == "negative":
+            p[off, 1] = -p[off, 1]
+        else:
+            p[off] *= 1.0 + x[off, None]
+        return p
+
+    return dataclasses.replace(base, propensity=propensity)
+
+
+@pytest.mark.parametrize("fault", ["negative", "mass"])
+def test_a_draw_of_many_generators_names_the_state_of_its_first_failing_replication(fault):
+    inst = _faulty_above_half(fault)
+    seeds = [s for s in range(40) if make_generator(s).random(3).max() <= 0.5][:1]
+    seeds += [s for s in range(40) if make_generator(s).random(3).min() > 0.5][:2]
+    states = [make_generator(s).random(3) for s in seeds]
+    # the first replication passes; the third has a worse mass than the second
+    assert len(seeds) == 3 and states[2].max() > states[1].max()
+    with pytest.raises(ol.PropensityError) as one:
+        ol.sample_dataset(inst, 3, seed=seeds[1])
+    with pytest.raises(ol.PropensityError) as block:
+        core._draw(inst, 3, *(make_generator(s) for s in seeds))
+    assert (str(block.value), block.value.state) == (str(one.value), one.value.state)
+
+
 def test_normalization_holds_on_probe_grid(d1):
     probe = d1.probe_states()
     mass = d1.propensity(probe) @ d1.actions.base_weights
@@ -739,6 +773,26 @@ INPUT_CHECKS = {
     "csv-bad-cell": (
         lambda: _read_dataset_text("x,a,y\n0,1,2.0\n1,abc,0.5\n"),
         ValueError, CSV_LINE + r"3: could not convert string to float: 'abc'$",
+    ),
+    "csv-non-finite-cell": (
+        lambda: _read_dataset_text("x,a,y\n0,1,2\n1,0,nan\n"),
+        ValueError, CSV_LINE + r"3: dataset row 1 is not finite: \(x, a, y\) = \(1\.0, 0\.0, nan\)$",
+    ),
+    "csv-inf-after-a-blank-line": (
+        lambda: _read_dataset_text("# seed=3\nx,a,y\n0,1,2\n\n-inf,0,1\n"),
+        ValueError, CSV_LINE + r"5: dataset row 1 is not finite: \(x, a, y\) = \(-inf, 0\.0, 1\.0\)$",
+    ),
+    "builtin-pi-min-zero": (
+        lambda: simlab.build_builtin_instance("pi1", pi_min=0.0),
+        ValueError, r"^pi_min must lie in \(0, 0\.5\], got 0\.0$",
+    ),
+    "builtin-pi-min-above-half": (
+        lambda: simlab.build_builtin_instance("pi2", pi_min=0.7),
+        ValueError, r"^pi_min must lie in \(0, 0\.5\], got 0\.7$",
+    ),
+    "builtin-pi-min-nan": (
+        lambda: simlab.build_builtin_instance("pi1", pi_min=float("nan")),
+        ValueError, r"^pi_min must lie in \(0, 0\.5\], got nan$",
     ),
     "csv-bad-seed": (
         lambda: _read_dataset_text("# seed=x instance_id=d1\nx,a,y\n0,1,2.0\n"),

@@ -10,7 +10,7 @@ from ope_lab.complexity import small_ball_estimate
 from ope_lab.estimators import REPORT_CSV_HEADER, FirstStageError
 from ope_lab.lowerbounds import tilted_instance
 
-from conftest import make_d1
+from conftest import instance_from_random_tables, make_d1, random_finite_tables
 from oracles import brute_exact_estimator_variance
 
 
@@ -100,6 +100,38 @@ def test_mean_and_variance_are_numpys_bit_for_bit(n):
         assert variance == (float(np.var(values, ddof=1)) if n > 1 else 0.0)
         # the Monte Carlo standard errors take the root of the variance for np.std
         assert np.sqrt(variance) == (float(np.std(values, ddof=1)) if n > 1 else 0.0)
+
+
+def test_mean_and_variance_of_rows_are_each_rows_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 9, 16, 129, 1000):
+        rows = 1e6 + rng.standard_cauchy((7, n))
+        means, variances = core._mean_and_variance(rows)
+        assert [(float(m), float(v)) for m, v in zip(means, variances)] == [
+            core._mean_and_variance(row) for row in rows
+        ]
+
+
+@pytest.mark.parametrize("estimator", ["ipw", "oracle"])
+def test_an_estimate_of_one_observation_names_n(estimator):
+    hard = simlab.build_builtin_instance("pi1")
+    data = ol.sample_dataset(hard, 1, seed=3)
+    with pytest.raises(ValueError, match=r"^an estimate needs at least 2 observations, got n = 1$"):
+        estimators.estimate(estimator, data, hard)
+    with pytest.raises(ValueError, match=r"^an estimate needs at least 2 observations, got n = 1$"):
+        ol.generic_estimate(data, hard, const_fn(0.0))
+
+
+@pytest.mark.parametrize("estimator", ["ipw", "oracle"])
+def test_block_estimates_are_the_per_dataset_estimates(estimator):
+    # random tables with unequal base weights: the inner product <g, mu>
+    # rounds as it does per dataset
+    inst = instance_from_random_tables(random_finite_tables(np.random.default_rng(4), 5, 3))
+    n, seeds = 37, [11, 12, 13, 14]
+    pairs, y = core._draw(inst, n, *(ol.make_generator(s) for s in seeds))
+    block = estimators.block_estimates(estimator, inst, pairs, y, n)
+    single = [estimators.estimate(estimator, ol.sample_dataset(inst, n, s), inst).tau_hat for s in seeds]
+    assert block.tolist() == single
 
 
 # ---------------------------------------------------------------------------

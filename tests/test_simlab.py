@@ -139,15 +139,21 @@ def test_thread_budget_leaves_bytes_unchanged():
     assert run_experiment(base).to_csv() == csv_single
 
 
-def test_run_experiment_opens_one_pool(monkeypatch):
-    pools = []
+@pytest.fixture
+def pools(monkeypatch):
+    """The process pools ``run_experiment`` opens, one entry each."""
+    opened = []
 
     class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
-            pools.append(1)
+            opened.append(1)
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    return opened
+
+
+def test_a_small_config_without_a_first_stage_runs_in_the_caller(pools):
     config = ExperimentConfig(
         instance=builtin_doc(sigma0=0.3),
         estimators=("ipw", "oracle"),
@@ -155,10 +161,91 @@ def test_run_experiment_opens_one_pool(monkeypatch):
         reps=4,
         master_seed=3,
     )
+    csv_single = run_experiment(config).to_csv()
+    assert pools == []
+    assert run_experiment(config.with_overrides(threads=2)).to_csv() == csv_single
+    assert pools == []
+
+
+def test_a_config_with_a_first_stage_opens_one_pool(pools):
+    config = ExperimentConfig(
+        instance=builtin_doc(sigma0=0.3),
+        estimators=("ipw", "two-stage-weighted-krr"),
+        n_grid=(20, 40),
+        reps=2,
+        folds=3,
+        lambda_grid=(1.0, 10.0),
+        master_seed=3,
+    )
     run_experiment(config)
     assert pools == []
     run_experiment(config.with_overrides(threads=2))
     assert pools == [1]
+
+
+def test_a_config_that_draws_enough_samples_opens_one_pool(pools):
+    # 2 replications of 2 estimators at n = 2**16: 2**18 samples in all
+    config = ExperimentConfig(
+        instance=builtin_doc(sigma0=0.3),
+        estimators=("ipw", "oracle"),
+        n_grid=(2**16,),
+        reps=2,
+        master_seed=3,
+    )
+    assert simlab.POOL_MIN_DRAWS == 2**18
+    csv_single = run_experiment(config).to_csv()
+    assert pools == []
+    assert run_experiment(config.with_overrides(threads=2)).to_csv() == csv_single
+    assert pools == [1]
+
+
+def _reference_table(inst, config: ExperimentConfig) -> ResultsTable:
+    """The rows of ``config`` from one ``sample_dataset`` and ``estimate``
+    per replication, in a plain loop."""
+    tau_star = core.true_functional(inst)
+    table = ResultsTable()
+    for estimator in config.estimators:
+        for n in config.n_grid:
+            sq = np.array([
+                (estimators.estimate(estimator, core.sample_dataset(inst, n, seed), inst).tau_hat
+                 - tau_star) ** 2
+                for seed in (simlab.mix_seed(config.master_seed, estimator, n, r)
+                             for r in range(config.reps))
+            ])
+            mean, var = core._mean_and_variance(sq)
+            table.rows.append(ResultRow(
+                inst.instance_id, estimator, n, config.reps, n * mean,
+                float(n * np.sqrt(var) / np.sqrt(config.reps)), config.master_seed,
+            ))
+    return table
+
+
+@pytest.mark.parametrize("kind", ["finite", "finite-custom", "builtin-hard"])
+@pytest.mark.parametrize("n_grid, reps", [
+    # a block of one replication above BLOCK_DRAWS samples; at n = 3000 one
+    # chunk of 5 replications splits into blocks of 2, 2 and 1
+    ((20, 3000, simlab.BLOCK_DRAWS + 1), 5),
+    ((16, 64), 1),
+], ids=["blocks", "one-rep"])
+def test_blocks_give_the_rows_of_a_loop_of_samples_and_estimates(tmp_path, kind, n_grid, reps):
+    if kind == "builtin-hard":
+        doc = builtin_doc(propensity="pi1", gamma=0.0, sigma0=1.0)
+    else:
+        inst_path = tmp_path / "d1.json"
+        save_instance(make_d1(0.5), inst_path)
+        doc = (
+            json.loads(inst_path.read_text())
+            if kind == "finite"
+            else {"kind": "finite-custom", "path": str(inst_path)}
+        )
+    config = ExperimentConfig(
+        instance=doc, estimators=("ipw", "oracle"), n_grid=n_grid, reps=reps, master_seed=6,
+    )
+    assert 3000 * 2 < simlab.BLOCK_DRAWS < 3000 * 3
+    table = run_experiment(config)
+    reference = _reference_table(simlab.instance_from_json(doc), config)
+    assert table.rows == reference.rows
+    assert table.to_csv() == reference.to_csv()
 
 
 def test_failed_cell_names_itself():
@@ -230,34 +317,83 @@ def test_failed_replication_in_a_worker_names_its_cell(monkeypatch):
 def test_failure_in_a_later_chunk_names_its_cell(monkeypatch):
     # 2 workers cut each cell's 9 seeds into 8 chunks: the last replication
     # of (oracle, 40) fails in that cell's eighth chunk, and the first
-    # replication of the later cell (ipw, 20) fails as well
+    # replication of the later cell (ipw, 20) fails as well; the two-stage
+    # cells make the run fork
     master, reps = 4, 9
     doomed = {
         simlab.mix_seed(master, "oracle", 40, reps - 1): "last oracle replication",
         simlab.mix_seed(master, "ipw", 20, 0): "first ipw replication",
     }
-    run_rep = simlab._run_rep
+    make_generator = core.make_generator
 
-    def failing_rep(estimator, instance, n, rep_seed, tau_star, first_stage):
-        if rep_seed in doomed:
-            raise ValueError(f"{doomed[rep_seed]} failed")
-        return run_rep(estimator, instance, n, rep_seed, tau_star, first_stage)
+    def failing_generator(seed):
+        if seed in doomed:
+            raise ValueError(f"{doomed[seed]} failed")
+        return make_generator(seed)
 
-    # the forked workers inherit the patched replication
-    monkeypatch.setattr(simlab, "_run_rep", failing_rep)
+    # the forked workers inherit the patched generator, which a block makes
+    # for each of its replications
+    monkeypatch.setattr(core, "make_generator", failing_generator)
     config = ExperimentConfig(
         instance=builtin_doc(sigma0=0.1),
-        estimators=("oracle", "ipw"),
+        estimators=("oracle", "ipw", "two-stage-weighted-krr"),
         n_grid=(20, 40),
         reps=reps,
+        folds=3,
+        lambda_grid=(1.0, 10.0),
         master_seed=master,
         threads=2,
     )
+    assert simlab._workers(config) == 2
     with pytest.raises(CellError) as err:
         run_experiment(config)
     assert (err.value.estimator, err.value.n) == ("oracle", 40)
     assert str(err.value) == "cell (estimator=oracle, n=40) failed: last oracle replication failed"
     assert isinstance(err.value.__cause__, ValueError)
+
+
+def test_a_block_names_the_row_of_a_non_finite_outcome_within_its_replication(monkeypatch):
+    # outcome_sd is nan on (0.495, 0.505), between two probe points, so the
+    # instance constructs; at master seed 0 the second replication of the
+    # cell is the first to draw a state there
+    def outcome_sd(x, a):
+        x = np.asarray(x, dtype=float)
+        return np.where((x > 0.495) & (x < 0.505), np.nan, 1.0) * np.ones_like(np.asarray(a, dtype=float))
+
+    inst = dataclasses.replace(build_builtin_instance("pi1", sigma0=1.0), outcome_sd=outcome_sd)
+    monkeypatch.setattr(simlab, "instance_from_json", lambda doc: inst)
+    config = ExperimentConfig(
+        instance=builtin_doc(), estimators=("ipw",), n_grid=(50,), reps=3, master_seed=0,
+    )
+    seeds = [simlab.mix_seed(0, "ipw", 50, r) for r in range(3)]
+    messages = []
+    for seed in seeds:
+        try:
+            core.sample_dataset(inst, 50, seed)
+            messages.append(None)
+        except ValueError as exc:
+            messages.append(str(exc))
+    # the per-replication path fails first on the second replication
+    assert messages[0] is None and messages[1] is not None
+    assert re.fullmatch(r"dataset row \d+ is not finite: \(x, a, y\) = \(.+, nan\)", messages[1])
+    with pytest.raises(CellError) as err:
+        run_experiment(config)
+    assert (err.value.estimator, err.value.n) == ("ipw", 50)
+    assert str(err.value) == f"cell (estimator=ipw, n=50) failed: {messages[1]}"
+
+
+@pytest.mark.parametrize("estimator", ["ipw", "oracle"])
+def test_a_cell_at_n_one_names_itself(estimator):
+    config = ExperimentConfig(
+        instance=builtin_doc(sigma0=0.3), estimators=(estimator,), n_grid=(1, 20), reps=3,
+    )
+    with pytest.raises(CellError) as err:
+        run_experiment(config)
+    assert (err.value.estimator, err.value.n) == (estimator, 1)
+    assert str(err.value) == (
+        f"cell (estimator={estimator}, n=1) failed: "
+        "an estimate needs at least 2 observations, got n = 1"
+    )
 
 
 @pytest.mark.parametrize(
@@ -657,6 +793,27 @@ def test_cli_estimate_names_the_file_and_line_of_a_bad_row(tmp_path, capsys):
         "error": "ValueError",
         "message": f"{data_path} line 53: 2 fields, not the 3 of x,a,y",
     }
+
+
+@pytest.mark.parametrize("estimator", ESTIMATOR_IDS)
+def test_cli_estimate_on_one_row_names_n(tmp_path, capsys, estimator):
+    inst = make_d1(1.0)
+    data_path, inst_path = tmp_path / "data.csv", tmp_path / "inst.json"
+    write_dataset_csv(ol.sample_dataset(inst, 1, seed=9), data_path)
+    save_instance(inst, inst_path)
+    code = cli.main([
+        "estimate", "--data", str(data_path), "--instance", str(inst_path),
+        "--estimator", estimator,
+    ])
+    assert code == 1
+    message = json.loads(capsys.readouterr().err)["message"]
+    # a two-stage estimator asks for two observations per fold
+    expected = (
+        "an estimate needs at least 2 observations, got n = 1"
+        if estimators.NAMED_ESTIMATORS[estimator] is None
+        else "need n >= 10 samples for 5 folds"
+    )
+    assert message == expected
 
 
 def test_cli_lowerbound_and_diagnose(tmp_path, capsys):
