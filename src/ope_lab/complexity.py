@@ -38,7 +38,7 @@ from .core import (
     weighted_norm,
 )
 from .quadrature import adaptive_simpson  # noqa: F401  (patched by benchmarks/tracing.py)
-from .regression import _require_non_negative
+from .regression import _require_finite, _require_non_negative
 from .rng import make_generator, mix_seed, substream
 
 DEFAULT_REPS = 10_000
@@ -72,8 +72,6 @@ class LocalizedClassSpec:
     l1_radius: float | None = None
 
     def __post_init__(self):
-        import scipy.linalg
-
         if self.class_id not in ("linear-ellipsoid", "l1-ball", "singleton-zero"):
             raise ValueError(f"unsupported class {self.class_id!r}")
         _require_non_negative(radius=self.radius, l1_radius=self.l1_radius)
@@ -81,9 +79,13 @@ class LocalizedClassSpec:
             if self.feature_map is None or self.sigma_matrix is None:
                 raise ValueError("linear-ellipsoid needs feature_map and sigma_matrix")
             sig = np.asarray(self.sigma_matrix, dtype=float)
+            if sig.ndim != 2 or sig.shape[0] != sig.shape[1]:
+                raise ValueError(f"sigma_matrix must be a square matrix, got shape {sig.shape}")
+            # before the eigenvalues: eigvalsh returns NaN for an inf entry
+            _require_finite(sigma_matrix=sig)
             if not np.allclose(sig, sig.T, atol=1e-10):
                 raise ValueError("sigma_matrix must be symmetric")
-            eigenvalues = scipy.linalg.eigvalsh(sig)
+            eigenvalues = np.linalg.eigvalsh(sig)
             smallest = float(eigenvalues[0])
             # relative: rounding leaves a singular Sigma a few ulps off zero
             if smallest <= SINGULAR_RTOL * float(eigenvalues[-1]):
@@ -148,17 +150,25 @@ def _features_at(feature_map, x, a) -> np.ndarray:
     return phi
 
 
+def _forward_substitution(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve lower @ z = b for a lower-triangular matrix, column by column
+    in LAPACK ``trsv``'s order."""
+    z = np.array(b, dtype=float)
+    for j in range(z.size):
+        z[j] /= lower[j, j]
+        z[j + 1 :] -= z[j] * lower[j + 1 :, j]
+    return z
+
+
 def _mc_sups(instance, spec: LocalizedClassSpec, m, reps, seed, weights) -> list[float]:
     """Closed-form supremum over the class of each replication r's score
     (eps * weight) @ phi / m: m pairs from ``substream(seed, r)``, then
     ``weights(pairs, rng)`` (which may draw from rng), then the signs eps."""
-    import scipy.linalg
-
     _require_samples(m=m, reps=reps)
     if spec.class_id == "singleton-zero":
         return [0.0] * reps
     if spec.class_id == "linear-ellipsoid":
-        chol = scipy.linalg.cholesky(spec.sigma_matrix, lower=True)
+        chol = np.linalg.cholesky(spec.sigma_matrix)
     sups = []
     for r in range(reps):
         rng = substream(seed, r)
@@ -167,7 +177,10 @@ def _mc_sups(instance, spec: LocalizedClassSpec, m, reps, seed, weights) -> list
         eps = rng.integers(0, 2, size=m) * 2.0 - 1.0
         score = (eps * weight) @ _features_at(spec.feature_map, pairs.x, pairs.a) / m
         if spec.class_id == "linear-ellipsoid":
-            z = scipy.linalg.solve_triangular(chol, score, lower=True)
+            if score.size != chol.shape[0]:
+                raise ValueError(f"sigma_matrix is {chol.shape[0]} x {chol.shape[0]}, but the "
+                                 f"feature map gives {score.size} features")
+            z = _forward_substitution(chol, score)
             sups.append(spec.radius * float(np.linalg.norm(z)))
         else:
             sups.append(float(spec.l1_radius) * float(np.max(np.abs(score))))
@@ -407,15 +420,15 @@ def hadamard_glm_shatter(
     places inverse-link values on that basis so the index model interpolates
     +/- amplitude*radius exactly at every point.
     """
-    import scipy.linalg
-
     if p < 1 or (p & (p - 1)) != 0:
         raise ValueError("p must be a positive power of two")
     target = amplitude * radius
     inv_vals = np.asarray(link.inverse(np.array([-target, target])), dtype=float)
     if not np.all(np.isfinite(inv_vals)):
         raise ValueError(f"link inverse is not defined at +/-{target!r}")
-    hadamard = scipy.linalg.hadamard(p).astype(float)
+    hadamard = np.ones((1, 1))  # Sylvester's construction: H_2k = [[H, H], [H, -H]]
+    for _ in range(int(p).bit_length() - 1):
+        hadamard = np.block([[hadamard, hadamard], [hadamard, -hadamard]])
     points = hadamard.T.copy()  # row l is the l-th basis vector
 
     def witness(zeta: np.ndarray) -> np.ndarray:

@@ -390,6 +390,23 @@ def fit_weighted_isotonic(t, y, w) -> IsotonicModel:
 # ---------------------------------------------------------------------------
 
 
+def _interp_levels(x, knots, values) -> np.ndarray:
+    """``np.interp(x, knots, row)`` for every row of ``values``, bit for bit,
+    from one search: numpy's slope*(x - knots[j]) + values[j] between knots,
+    a knot's own value at it, and the end values outside the knots."""
+    if knots.size == 1:
+        return np.repeat(values, x.size, axis=1)
+    last = knots.size - 1
+    j = np.searchsorted(knots, x, side="right") - 1  # -1 before the first knot
+    seg = np.clip(j, 0, last - 1)
+    slopes = (values[:, seg + 1] - values[:, seg]) / (knots[seg + 1] - knots[seg])
+    out = slopes * (x - knots[seg]) + values[:, seg]
+    edge = np.clip(j, 0, last)
+    exact = (j < 0) | (j == last) | (x == knots[edge])
+    out[:, exact] = values[:, edge[exact]]
+    return out
+
+
 def cross_validate_lambda(
     x,
     y,
@@ -434,7 +451,7 @@ def cross_validate_lambda(
             continue
         knots, values = _spline_values(x[mask], y[mask], w[mask], grid)
         x_val, y_val, w_val = x[val_idx], y[val_idx], w[val_idx]
-        resid = y_val - np.array([np.interp(x_val, knots, row) for row in values])
+        resid = y_val - _interp_levels(x_val, knots, values)
         fold_losses = np.sum(w_val * resid**2, axis=1)
         finite = np.isfinite(fold_losses)
         if not finite.all():

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy import integrate
 
 import ope_lab as ol
@@ -227,6 +228,23 @@ def test_mc_complexities_are_pinned():
         assert (est.value.hex(), est.stderr.hex()) == want
 
 
+@pytest.mark.parametrize("d", range(1, 9))
+def test_forward_substitution_agrees_with_lapack(d):
+    # column order is trsv's, but OpenBLAS may fuse a multiply-add that this
+    # does not: equal at d = 1, within 4 ulp of the largest entry above
+    rng = make_generator(mix_seed(d, "forward-substitution"))
+    for _ in range(200):
+        a = rng.standard_normal((d, d))
+        lower = np.linalg.cholesky(a @ a.T / d + np.eye(d))
+        b = rng.standard_normal(d)
+        want = scipy.linalg.solve_triangular(lower, b, lower=True)
+        got = complexity._forward_substitution(lower, b)
+        if d == 1:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.max(np.abs(got - want)) <= 4 * np.spacing(np.max(np.abs(want)))
+
+
 def test_each_replication_draws_one_substream(monkeypatch):
     # one stream per replication, none for the singleton: the benchmark
     # tracer counts complexity.mc_draws by wrapping complexity.substream
@@ -382,6 +400,31 @@ INPUT_CHECKS = {
             "linear-ellipsoid", 1.0, scalar_feature, sigma_matrix=np.array([[1.0, 0.5], [0.0, 1.0]])
         ),
         r"^sigma_matrix must be symmetric$",
+    ),
+    "non-square-sigma": (
+        lambda: LocalizedClassSpec("linear-ellipsoid", 1.0, scalar_feature, sigma_matrix=np.ones((2, 3))),
+        r"^sigma_matrix must be a square matrix, got shape \(2, 3\)$",
+    ),
+    "sigma-larger-than-the-features": (
+        lambda: rademacher_R_mc(
+            make_d1(1.0),
+            LocalizedClassSpec("linear-ellipsoid", 1.0, scalar_feature, sigma_matrix=np.eye(2)),
+            m=5, reps=2,
+        ),
+        r"^sigma_matrix is 2 x 2, but the feature map gives 1 features$",
+    ),
+    "nan-sigma": (
+        lambda: LocalizedClassSpec(
+            "linear-ellipsoid", 1.0, scalar_feature,
+            sigma_matrix=np.array([[1.0, 0.0], [np.nan, 1.0]]),
+        ),
+        r"^sigma_matrix\[1\] is not finite$",
+    ),
+    "inf-sigma": (
+        lambda: LocalizedClassSpec(
+            "linear-ellipsoid", 1.0, scalar_feature, sigma_matrix=np.array([[np.inf, 0.0], [0.0, 1.0]])
+        ),
+        r"^sigma_matrix\[0\] is not finite$",
     ),
     "l1-ball-without-radius": (
         lambda: LocalizedClassSpec("l1-ball", 1.0, scalar_feature),
@@ -600,6 +643,12 @@ def test_hadamard_nonlinear_link():
     cube = Link(forward=lambda z: z**3, inverse=lambda z: np.cbrt(z))
     cert = hadamard_glm_shatter(4, cube, amplitude=0.7, radius=1.3)
     assert cert.verify()
+
+
+@pytest.mark.parametrize("p", [1, 2, 4, 8, 16, 32, 64])
+def test_hadamard_points_are_the_sylvester_matrix(p):
+    cert = hadamard_glm_shatter(p)
+    assert np.array_equal(cert.points, scipy.linalg.hadamard(p).T)
 
 
 def test_hadamard_rejects_bad_p():

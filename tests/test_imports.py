@@ -1,5 +1,6 @@
 """Import cost: ``scipy.linalg``, ``scipy.optimize`` and ``numpy.random`` are
-loaded on first use, not at import.
+loaded on first use, not at import, and the theory commands never load
+``scipy.linalg``: only the first stage's banded solve needs it.
 
 Each check runs in a fresh interpreter, since the test process has loaded
 scipy long before.
@@ -19,6 +20,18 @@ INSTANCE = {
     "kind": "builtin",
     "name": "missing-data",
     "params": {"propensity": "pi1", "gamma": 0.5, "sigma0": 0.3},
+}
+FINITE_INSTANCE = {
+    "kind": "finite",
+    "instance_id": "d1",
+    "states": [0.0, 1.0],
+    "probs": [0.5, 0.5],
+    "actions": [0.0, 1.0],
+    "base_weights": [1.0, 1.0],
+    "propensity": [[0.8, 0.2], [0.4, 0.6]],
+    "weight": [[-1.0, 1.0], [-1.0, 1.0]],
+    "outcome_mean": [[1.0, 2.0], [0.0, 3.0]],
+    "outcome_sd": [[1.0, 1.0], [1.0, 1.0]],
 }
 
 
@@ -79,3 +92,38 @@ def test_a_first_stage_pool_loads_scipy_linalg_before_the_fork():
 
 def test_a_pool_without_a_first_stage_leaves_scipy_linalg_unloaded():
     assert not _run_fresh(("ipw", "oracle"), threads=2)["linalg"]
+
+
+def test_the_theory_commands_leave_scipy_linalg_unloaded(tmp_path):
+    builtin, finite = tmp_path / "builtin.json", tmp_path / "finite.json"
+    builtin.write_text(json.dumps(INSTANCE))
+    finite.write_text(json.dumps(FINITE_INSTANCE))
+    radius = ["diagnose", "critical-radius", "--instance", str(builtin), "--m", "50",
+              "--features", "state-linear", "--reps", "20"]
+    commands = {
+        "critical-radius mc": radius + ["--source", "mc"],
+        "critical-radius closed-form-linear": radius + ["--source", "closed-form-linear"],
+        "rademacher-profile": ["diagnose", "rademacher-profile", "--instance", str(builtin),
+                               "--m", "50", "--features", "state-linear", "--reps", "20"],
+        "small-ball": ["diagnose", "small-ball", "--instance", str(builtin), "--alpha1", "0.5",
+                       "--reps", "100"],
+        "shatter hadamard": ["diagnose", "shatter", "--family", "hadamard", "--p", "16"],
+        "shatter sparse": ["diagnose", "shatter", "--family", "sparse", "--p", "8", "--s", "2"],
+        "lowerbound tilt": ["lowerbound", "tilt", "--instance", str(finite), "--n", "64"],
+        "lowerbound sigma-pair": ["lowerbound", "sigma-pair", "--instance", str(finite),
+                                  "--n", "64"],
+        "lowerbound mixture": ["lowerbound", "mixture", "--instance", str(finite),
+                               "--s", "0.25", "--reps", "50"],
+    }
+    # in one interpreter, in order: the first command to load it is the culprit
+    out = _fresh(
+        "import contextlib, io, json, sys\n"
+        "from ope_lab import cli\n"
+        "loaded = {}\n"
+        f"for name, argv in {commands!r}.items():\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, name\n"
+        "    loaded[name] = 'scipy.linalg' in sys.modules\n"
+        "print(json.dumps(loaded))\n"
+    )
+    assert out == {name: False for name in commands}

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from ope_lab.estimators import FirstStageSpec, _fit_first_stage
 from ope_lab.regression import (
     RegressionError,
+    _interp_levels,
     _spline_values,
     cross_validate_lambda,
     fit_l1_constrained,
@@ -553,6 +554,22 @@ def test_cv_matches_a_fit_per_candidate_and_fold(case, seed):
     grid = [1e-3, 1e-2, 0.1, 1.0, 10.0, 1e3, 1e6]
     got = cross_validate_lambda(x, y, w, grid=grid, folds=5, seed=seed)
     assert got == _reference_cv(x, y, w, grid, folds=5, seed=seed)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("n_knots", [1, 2, 3, 40])
+def test_the_batched_lookup_has_the_bits_of_np_interp(n_knots, seed):
+    rng = np.random.default_rng(seed)
+    knots = np.sort(rng.uniform(0.1, 0.9, n_knots))
+    values = rng.standard_normal((7, n_knots)) * 10.0 ** rng.integers(-3, 4, size=(7, 1))
+    x = np.concatenate([
+        knots,  # at every knot, the last included
+        rng.uniform(knots[0], knots[-1], 50),  # between knots
+        [0.0, np.nextafter(knots[0], 0.0)],  # before the first knot
+        [np.nextafter(knots[-1], 1.0), 1.0],  # past the last knot
+    ])
+    want = np.stack([np.interp(x, knots, row) for row in values])
+    assert _interp_levels(x, knots, values).tobytes() == want.tobytes()
 
 
 def test_cv_rejects_a_non_finite_loss():
